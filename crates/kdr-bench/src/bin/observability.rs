@@ -62,8 +62,9 @@ fn main() {
         report.iters, report.converged, report.final_residual
     );
     println!(
-        "steps: analyzed={} captured={} replayed={} (trace hit rate {:.1}%)",
+        "steps: analyzed={} (uncached={}) captured={} replayed={} (trace hit rate {:.1}%)",
         metrics.steps_analyzed,
+        metrics.steps_uncached,
         metrics.steps_captured,
         metrics.steps_replayed,
         100.0 * metrics.trace_hit_rate()

@@ -60,6 +60,12 @@
 //! the same way, `--ci-chaos` a trimmed oracle-vs-chaos pair
 //! (faults + shard kill, bit-identity required), and `--ci-store` a
 //! trimmed warm-restart leg (TTFI ≥ 2×, bit-identical replay).
+//!
+//! Both the full run and `--ci` also run a **session-aging** leg: 4
+//! tenants × 12 jobs, each tenant's jobs in sequence on one long-lived
+//! session, asserting on deterministic counts only — the last quarter
+//! of jobs replays >= 0.85 of its tasks from traces, and no step runs
+//! analyzed because a session's trace cache was full.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -219,6 +225,93 @@ fn run_scale(tenants: u32, jobs_per_tenant: usize, grid: u64, workers: usize) ->
         warm_ttfi_ms: mean(&warm),
         fairness_ratio,
         fingerprint,
+    }
+}
+
+struct LongSessionLeg {
+    jobs: usize,
+    first_quarter_replay: f64,
+    last_quarter_replay: f64,
+    steps_uncached: u64,
+}
+
+/// Session aging: `tenants` closed-loop clients, each sending
+/// `jobs_per_tenant` jobs one after another to its own long-lived
+/// session. Per round (one job per tenant) the tenants' runtime task
+/// counters give the fraction of tasks replayed from a trace. All
+/// counts are deterministic, so the leg asserts on them directly: a
+/// warm session must still replay in its last quarter of jobs
+/// (>= 0.85 of its tasks), and no step may fall back to analysis for
+/// lack of trace-cache room.
+fn run_long_sessions(
+    tenants: u32,
+    jobs_per_tenant: usize,
+    grid: u64,
+    workers: usize,
+) -> LongSessionLeg {
+    let svc = SolveService::new(ServiceConfig {
+        workers,
+        slice_iters: 8,
+        seed: SEED,
+        ..ServiceConfig::default()
+    });
+    let stencil = Stencil::lap2d(grid, grid);
+    let n = stencil.unknowns();
+    let matrix: Arc<dyn SparseMatrix<f64>> = Arc::new(stencil.to_csr::<f64, u64>());
+    let control = SolveControl::to_tolerance(1e-10, 2000);
+    let sessions: Vec<_> = (1..=tenants)
+        .map(|t| {
+            svc.register_tenant(t, 1);
+            svc.create_session(
+                t,
+                SessionSpec {
+                    matrix: Arc::clone(&matrix),
+                    unknowns: n,
+                    pieces: 4,
+                    solver: SolverKind::Cg,
+                    stencil: None,
+                },
+            )
+        })
+        .collect();
+    let totals = |svc: &SolveService| {
+        svc.metrics().values().fold((0u64, 0u64), |(r, s), m| {
+            (r + m.tasks_replayed, s + m.tasks_submitted)
+        })
+    };
+    // (replayed, submitted) per round.
+    let mut rounds = Vec::with_capacity(jobs_per_tenant);
+    for j in 0..jobs_per_tenant {
+        let (r0, s0) = totals(&svc);
+        for (t, &sid) in (1..=tenants).zip(&sessions) {
+            let rhs = rhs_vector::<f64>(n, t as u64 * 1000 + j as u64);
+            svc.submit(t, SolveRequest::new(sid, rhs, control.clone()))
+                .expect("one job per tenant fits the queue");
+        }
+        svc.run_until_idle();
+        let responses = svc.take_responses();
+        assert_eq!(
+            responses.len(),
+            tenants as usize,
+            "round {j}: lost responses"
+        );
+        assert!(
+            responses.iter().all(|r| r.outcome.is_converged()),
+            "round {j}: a job did not converge"
+        );
+        let (r1, s1) = totals(&svc);
+        rounds.push((r1 - r0, s1 - s0));
+    }
+    let frac = |rs: &[(u64, u64)]| {
+        let (r, s) = rs.iter().fold((0, 0), |(a, b), &(r, s)| (a + r, b + s));
+        r as f64 / s.max(1) as f64
+    };
+    let q = (jobs_per_tenant / 4).max(1);
+    LongSessionLeg {
+        jobs: tenants as usize * jobs_per_tenant,
+        first_quarter_replay: frac(&rounds[..q]),
+        last_quarter_replay: frac(&rounds[jobs_per_tenant - q..]),
+        steps_uncached: svc.metrics().values().map(|m| m.steps_uncached).sum(),
     }
 }
 
@@ -917,6 +1010,23 @@ fn main() {
         "seeded scheduler must reproduce the completion order exactly"
     );
     println!("determinism: 16-tenant rerun reproduced all {} responses", repeat.jobs);
+
+    // Session aging: long-lived sessions stay on the traced fast path.
+    let aging = run_long_sessions(4, 12, 24, 2);
+    println!(
+        "session aging: {} jobs on 4 sessions, replay fraction {:.3} (first quarter) -> {:.3} \
+         (last quarter), {} uncached steps",
+        aging.jobs, aging.first_quarter_replay, aging.last_quarter_replay, aging.steps_uncached
+    );
+    assert!(
+        aging.last_quarter_replay >= 0.85,
+        "long-lived sessions fell off the replay path: last-quarter replay fraction {:.3}",
+        aging.last_quarter_replay
+    );
+    assert_eq!(
+        aging.steps_uncached, 0,
+        "steps ran analyzed because the trace cache was full"
+    );
 
     if ci {
         println!("service_stress --ci: all contracts held");

@@ -126,6 +126,11 @@ pub struct ExecMetrics {
     pub trace_cache_cap: usize,
     /// Steps that ran through full dependence analysis.
     pub steps_analyzed: u64,
+    /// Of `steps_analyzed`, those that ran analyzed only because the
+    /// trace cache was full and their shape was not in it — a warm
+    /// workload that keeps producing new step shapes. Steps flushed
+    /// by a forcing operation are not counted here.
+    pub steps_uncached: u64,
     /// Steps that analyzed while capturing a trace.
     pub steps_captured: u64,
     /// Steps replayed from the trace cache.
@@ -344,6 +349,7 @@ pub struct ExecBackend<T: Scalar> {
     pending: Vec<TaskBuilder>,
     trace_cache: TraceCache,
     steps_analyzed: u64,
+    steps_uncached: u64,
     steps_captured: u64,
     steps_replayed: u64,
     /// Inside a `step_begin`/`step_end` bracket (regardless of
@@ -408,6 +414,7 @@ impl<T: Scalar> ExecBackend<T> {
             pending: Vec::new(),
             trace_cache: TraceCache::new(TRACE_CACHE_CAP),
             steps_analyzed: 0,
+            steps_uncached: 0,
             steps_captured: 0,
             steps_replayed: 0,
             in_step: false,
@@ -515,6 +522,12 @@ impl<T: Scalar> ExecBackend<T> {
         )
     }
 
+    /// Steps analyzed because the trace cache was full (see
+    /// [`ExecMetrics::steps_uncached`]).
+    pub fn steps_uncached(&self) -> u64 {
+        self.steps_uncached
+    }
+
     /// Enable or disable the runtime's structured event logging
     /// (spans + latency histograms). Off by default; see
     /// [`Runtime::enable_events`].
@@ -553,6 +566,7 @@ impl<T: Scalar> ExecBackend<T> {
             trace_cache_len: self.trace_cache.len(),
             trace_cache_cap: TRACE_CACHE_CAP,
             steps_analyzed: self.steps_analyzed,
+            steps_uncached: self.steps_uncached,
             steps_captured: self.steps_captured,
             steps_replayed: self.steps_replayed,
             reduction_stages: self.reduction_stages,
@@ -1259,6 +1273,9 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             }
         } else {
             // Cache full, or begin_trace refused (pending failure).
+            if !self.trace_cache.has_room() {
+                self.steps_uncached += 1;
+            }
             self.record_rt_failure();
             for tb in tasks {
                 self.rt
@@ -1514,7 +1531,31 @@ mod tests {
         b.scal(v, c);
         assert_eq!(b.step_end(), StepOutcome::Analyzed);
         assert_eq!(b.trace_cache_len(), 0, "flushed step must not capture");
+        assert_eq!(b.steps_uncached(), 0, "a flushed step is not a cache miss");
         assert_eq!(b.read_component(v, 0), vec![2.0; 8]);
+    }
+
+    #[test]
+    fn full_trace_cache_counts_uncached_steps() {
+        let mut b = backend();
+        let w = b.alloc_vector(&[spec(16, 4)]);
+        // Each step touches a different destination buffer, so each
+        // has a new shape: the first TRACE_CACHE_CAP capture, the rest
+        // find the cache full.
+        let extra = 3;
+        for _ in 0..TRACE_CACHE_CAP + extra {
+            let v = b.alloc_vector(&[spec(16, 4)]);
+            b.step_begin();
+            let c = b.scalar_const(2.0);
+            b.axpy(v, c, w);
+            b.scalar_release(c);
+            b.step_end();
+        }
+        let m = b.metrics();
+        assert_eq!(m.trace_cache_len, TRACE_CACHE_CAP);
+        assert_eq!(m.steps_captured, TRACE_CACHE_CAP as u64);
+        assert_eq!(m.steps_analyzed, extra as u64);
+        assert_eq!(m.steps_uncached, extra as u64);
     }
 
     #[test]

@@ -81,6 +81,10 @@ pub struct Planner<T: Scalar> {
     /// re-analyzing).
     ws_free_sol: Vec<VecId>,
     ws_free_rhs: Vec<VecId>,
+    /// Workspace vectors currently checked out, in checkout order,
+    /// whether freshly allocated or taken from a pool. A workspace
+    /// mark is a position in this log.
+    ws_checked_out: Vec<VecId>,
 }
 
 impl<T: Scalar> Planner<T> {
@@ -101,6 +105,7 @@ impl<T: Scalar> Planner<T> {
             finalized: false,
             ws_free_sol: Vec::new(),
             ws_free_rhs: Vec::new(),
+            ws_checked_out: Vec::new(),
         }
     }
 
@@ -370,65 +375,99 @@ impl<T: Scalar> Planner<T> {
         !self.precs.is_empty()
     }
 
-    /// Allocate a workspace vector with the solution structure.
+    /// Check out a workspace vector with the solution structure.
     ///
     /// Prefers a vector released via
     /// [`Planner::release_workspace_from`] (lowest id first, zeroed on
     /// reuse) over a fresh backend allocation, so repeated solver
     /// constructions see identical buffer ids.
     pub fn allocate_workspace_vector(&mut self) -> VecId {
-        self.ensure_finalized();
-        if let Some(v) = Self::pop_lowest(&mut self.ws_free_sol) {
-            let bv = self.bvec(v);
-            self.backend.lock().set_zero(bv);
-            return v;
-        }
-        let bv = self.backend.lock().alloc_vector(&self.sol_comps.clone());
-        self.register_vec_id(bv, VecStructure::Sol).0
+        self.check_out_workspace(VecStructure::Sol)
     }
 
-    /// Allocate a workspace vector with the right-hand-side structure.
-    /// Pools like [`Planner::allocate_workspace_vector`].
+    /// Check out a workspace vector with the right-hand-side
+    /// structure. Pools like [`Planner::allocate_workspace_vector`].
     pub fn allocate_workspace_vector_rhs(&mut self) -> VecId {
+        self.check_out_workspace(VecStructure::Rhs)
+    }
+
+    fn check_out_workspace(&mut self, s: VecStructure) -> VecId {
         self.ensure_finalized();
-        if let Some(v) = Self::pop_lowest(&mut self.ws_free_rhs) {
-            let bv = self.bvec(v);
-            self.backend.lock().set_zero(bv);
-            return v;
-        }
-        let bv = self.backend.lock().alloc_vector(&self.rhs_comps.clone());
-        self.register_vec_id(bv, VecStructure::Rhs).0
+        let pool = match s {
+            VecStructure::Sol => &mut self.ws_free_sol,
+            VecStructure::Rhs => &mut self.ws_free_rhs,
+        };
+        let lowest = pool
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, v)| *v)
+            .map(|(i, _)| i);
+        let v = match lowest {
+            Some(i) => {
+                let v = pool.swap_remove(i);
+                let bv = self.bvec(v);
+                self.backend.lock().set_zero(bv);
+                v
+            }
+            None => {
+                let comps = match s {
+                    VecStructure::Sol => &self.sol_comps,
+                    VecStructure::Rhs => &self.rhs_comps,
+                };
+                let bv = self.backend.lock().alloc_vector(comps);
+                self.register_vec_id(bv, s).0
+            }
+        };
+        self.ws_checked_out.push(v);
+        v
     }
 
-    fn pop_lowest(pool: &mut Vec<VecId>) -> Option<VecId> {
-        let (i, _) = pool.iter().enumerate().min_by_key(|&(_, v)| *v)?;
-        Some(pool.swap_remove(i))
-    }
-
-    /// Snapshot the current vector-id high-water mark. Pass to
+    /// Snapshot the workspace checkout position. Pass it to
     /// [`Planner::release_workspace_from`] after a solve to return
-    /// every workspace vector allocated since the mark to the reuse
-    /// pool.
+    /// every workspace vector checked out since — freshly allocated
+    /// or reused from the pool alike.
+    ///
+    /// The mark is `0` before the planner finalizes (no workspace can
+    /// be checked out yet, and `SOL` still starts zeroed) and at least
+    /// `RHS + 1` afterwards, so callers may test `mark > 0` for "the
+    /// plan exists" and pass `mark.max(RHS + 1)` without changing its
+    /// meaning.
     pub fn workspace_mark(&self) -> usize {
+        if self.finalized {
+            RHS + 1 + self.ws_checked_out.len()
+        } else {
+            0
+        }
+    }
+
+    /// Workspace vectors currently checked out, in checkout order.
+    pub fn workspace_checked_out(&self) -> &[VecId] {
+        &self.ws_checked_out
+    }
+
+    /// Vectors allocated from the backend so far, `SOL` and `RHS`
+    /// included. Stays constant across warm solves that return their
+    /// workspace.
+    pub fn vector_count(&self) -> usize {
         self.vectors.len()
     }
 
-    /// Return all workspace vectors with id `>= mark` to the reuse
-    /// pool. Their backend buffers stay alive (the ids remain valid),
-    /// but their contents are dead: the next
-    /// [`Planner::allocate_workspace_vector`] hands the lowest id back
-    /// zeroed. Releasing the same range twice is a no-op.
+    /// Return every workspace vector checked out since `mark` (see
+    /// [`Planner::workspace_mark`]) to the reuse pool. Their backend
+    /// buffers stay alive (the ids remain valid), but their contents
+    /// are dead: the next checkout hands the lowest id back zeroed.
+    ///
+    /// Marks nest: releasing an inner mark returns only what was
+    /// checked out after it, releasing an outer one afterwards
+    /// returns the rest. A mark below `RHS + 1` releases every
+    /// checked-out vector; `SOL` and `RHS` are never workspace.
+    /// Releasing the same mark twice is a no-op.
     pub fn release_workspace_from(&mut self, mark: usize) {
-        for v in mark..self.vectors.len() {
-            if v == SOL || v == RHS {
-                continue;
-            }
-            let pool = match self.vectors[v].1 {
-                VecStructure::Sol => &mut self.ws_free_sol,
-                VecStructure::Rhs => &mut self.ws_free_rhs,
-            };
-            if !pool.contains(&v) {
-                pool.push(v);
+        let keep = mark.saturating_sub(RHS + 1).min(self.ws_checked_out.len());
+        for v in self.ws_checked_out.drain(keep..) {
+            match self.vectors[v].1 {
+                VecStructure::Sol => self.ws_free_sol.push(v),
+                VecStructure::Rhs => self.ws_free_rhs.push(v),
             }
         }
     }

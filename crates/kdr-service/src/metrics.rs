@@ -35,6 +35,12 @@ pub struct TenantMetrics {
     /// Tasks replayed from captured traces (analysis skipped) during
     /// this tenant's slices — the plan-cache hit counter.
     pub tasks_replayed: u64,
+    /// Solver steps that ran analyzed during this tenant's slices
+    /// because the session's trace cache was full (see
+    /// [`kdr_core::ExecMetrics::steps_uncached`]). Nonzero means a
+    /// session keeps producing new step shapes and has fallen off the
+    /// traced fast path.
+    pub steps_uncached: u64,
     /// Global reduction stages launched during this tenant's slices.
     pub reduction_stages: u64,
     /// Nanoseconds blocked waiting on reduction results during this
@@ -88,6 +94,7 @@ impl TenantMetrics {
         self.tasks_submitted += other.tasks_submitted;
         self.tasks_executed += other.tasks_executed;
         self.tasks_replayed += other.tasks_replayed;
+        self.steps_uncached += other.steps_uncached;
         self.reduction_stages += other.reduction_stages;
         self.reduction_stall_ns += other.reduction_stall_ns;
         self.task_failures += other.task_failures;
@@ -261,8 +268,10 @@ mod tests {
             prediction_samples: 2,
             ..Default::default()
         };
+        a.steps_uncached = 1;
         let b = a.clone();
         a.merge(&b);
+        assert_eq!(a.steps_uncached, 2);
         assert_eq!(a.catalogue_hits, 6);
         assert_eq!(a.catalogue_misses, 2);
         assert_eq!(a.prediction_error_pct(), Some(25.0));

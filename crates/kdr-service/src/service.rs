@@ -1115,12 +1115,17 @@ impl SolveService {
         };
 
         let slice_session = st.active[idx].session;
+        let uncached_before = Self::session_steps_uncached(st, slice_session);
         let (iters_run, finished) = Self::step_slice(
             &mut st.active[idx],
             &mut st.sessions,
             self.cfg.slice_iters.max(1),
         );
-        st.metrics.tenant_mut(tenant).iterations += iters_run;
+        let uncached =
+            Self::session_steps_uncached(st, slice_session).saturating_sub(uncached_before);
+        let m = st.metrics.tenant_mut(tenant);
+        m.iterations += iters_run;
+        m.steps_uncached += uncached;
 
         let mut completed = false;
         if let Some(outcome) = finished {
@@ -1179,6 +1184,12 @@ impl SolveService {
             st.metrics.record_spans(tenant, spans);
         }
         st.metrics.tenant_mut(tenant).busy_seconds += slice_start.elapsed().as_secs_f64();
+    }
+
+    fn session_steps_uncached(st: &mut ServiceState, session: SessionId) -> u64 {
+        st.sessions
+            .get_mut(&session)
+            .map_or(0, Session::steps_uncached)
     }
 
     /// Feed the slice's per-kernel execute-latency deltas into the

@@ -264,6 +264,16 @@ impl Session {
         })
     }
 
+    /// Steps the session's backend ran analyzed because its trace
+    /// cache was full (0 under non-exec backends).
+    pub fn steps_uncached(&mut self) -> u64 {
+        self.planner.with_backend(|b| {
+            b.as_any()
+                .downcast_mut::<kdr_core::ExecBackend<f64>>()
+                .map_or(0, |eb| eb.steps_uncached())
+        })
+    }
+
     /// Owning tenant.
     pub fn tenant(&self) -> TenantId {
         self.tenant
@@ -376,9 +386,8 @@ impl Session {
     /// ids stable for the next solver rebuild) and restore normal
     /// priority.
     pub fn end_solve(&mut self, mark: usize) {
-        // A pre-finalization mark of 0 would release SOL/RHS's
-        // siblings from 0; release_workspace_from skips SOL/RHS
-        // itself, so the call is safe either way.
+        // A pre-finalization mark of 0 and RHS + 1 both mean
+        // "everything checked out since the plan was built".
         self.planner.release_workspace_from(mark.max(RHS + 1));
         self.planner.set_task_priority(0);
         self.jobs_completed += 1;

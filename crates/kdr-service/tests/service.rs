@@ -7,7 +7,8 @@ use std::time::{Duration, Instant};
 
 use kdr_core::SolveControl;
 use kdr_service::{
-    JobOutcome, RejectReason, ServiceConfig, SessionSpec, SolveRequest, SolveService, SolverKind,
+    JobOutcome, RejectReason, ServiceConfig, SessionId, SessionSpec, ShardConfig, ShardedService,
+    SolveRequest, SolveResponse, SolveService, SolverKind, TenantId, TenantMetrics,
 };
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{SparseMatrix, Stencil};
@@ -399,4 +400,166 @@ fn stencil_session_matches_assembled_bitwise() {
     });
     assert!(!implicit.is_empty());
     assert_eq!(implicit, assembled, "residual histories diverge");
+}
+
+/// A service that one long-lived session can age on.
+trait Fleet {
+    fn submit_job(&self, tenant: TenantId, request: SolveRequest);
+    fn drain(&self) -> Vec<SolveResponse>;
+    /// Run part of the submitted job, then move the tenant so the job
+    /// resumes from its checkpointed iterate on a rebuilt session.
+    fn migrate_mid_job(&self, tenant: TenantId);
+    fn tenant_metrics(&self, tenant: TenantId) -> TenantMetrics;
+}
+
+impl Fleet for SolveService {
+    fn submit_job(&self, tenant: TenantId, request: SolveRequest) {
+        self.submit(tenant, request).unwrap();
+    }
+    fn drain(&self) -> Vec<SolveResponse> {
+        self.run_until_idle();
+        self.take_responses()
+    }
+    fn migrate_mid_job(&self, tenant: TenantId) {
+        assert_eq!(self.run_slices(2), 2);
+        let bundle = self.detach_tenant(tenant).unwrap();
+        assert_eq!(bundle.in_flight_count(), 1, "the job must be mid-flight");
+        self.attach_tenant(bundle);
+    }
+    fn tenant_metrics(&self, tenant: TenantId) -> TenantMetrics {
+        self.metrics().remove(&tenant).unwrap_or_default()
+    }
+}
+
+impl Fleet for ShardedService {
+    fn submit_job(&self, tenant: TenantId, request: SolveRequest) {
+        self.submit(tenant, request).unwrap();
+    }
+    fn drain(&self) -> Vec<SolveResponse> {
+        self.run_until_idle();
+        self.take_responses()
+    }
+    fn migrate_mid_job(&self, tenant: TenantId) {
+        self.run_rounds(1, 2);
+        let fresh = self.add_shard();
+        assert_eq!(
+            self.shard_of(tenant),
+            Some(fresh),
+            "add_shard must move the tenant"
+        );
+        assert_eq!(self.migrations(), 1);
+    }
+    fn tenant_metrics(&self, tenant: TenantId) -> TenantMetrics {
+        self.metrics().remove(&tenant).unwrap_or_default()
+    }
+}
+
+const AGING_JOBS: usize = 12;
+const BATCH_JOB: usize = 4;
+const MIGRATED_JOB: usize = 6;
+
+/// One warm-up job, then [`AGING_JOBS`] jobs on the same session: job
+/// [`BATCH_JOB`] is a 3-RHS batch (each RHS releases its workspace
+/// through the batch-advance path), job [`MIGRATED_JOB`] is moved
+/// mid-flight and resumes on a rebuilt session. Returns each measured
+/// job's `(tasks replayed, tasks submitted)` and the tenant's final
+/// metrics.
+fn age_session(
+    fleet: &dyn Fleet,
+    tenant: TenantId,
+    sid: SessionId,
+) -> (Vec<(u64, u64)>, TenantMetrics) {
+    let n = 24 * 24;
+    let mut per_job = Vec::new();
+    for j in 0..=AGING_JOBS {
+        let seed = 500 + j as u64;
+        let mut r = SolveRequest::new(sid, rhs_vector::<f64>(n, seed), control());
+        if j == BATCH_JOB + 1 {
+            r.rhs_batch.push(rhs_vector::<f64>(n, seed + 100));
+            r.rhs_batch.push(rhs_vector::<f64>(n, seed + 200));
+        }
+        let before = fleet.tenant_metrics(tenant);
+        fleet.submit_job(tenant, r);
+        if j == MIGRATED_JOB + 1 {
+            fleet.migrate_mid_job(tenant);
+        }
+        let rs = fleet.drain();
+        assert_eq!(rs.len(), 1);
+        assert!(rs[0].outcome.is_converged(), "job {j}: {:?}", rs[0].outcome);
+        assert_eq!(rs[0].migrations > 0, j == MIGRATED_JOB + 1, "job {j}");
+        let after = fleet.tenant_metrics(tenant);
+        if j > 0 {
+            per_job.push((
+                after.tasks_replayed - before.tasks_replayed,
+                after.tasks_submitted - before.tasks_submitted,
+            ));
+        }
+    }
+    (per_job, fleet.tenant_metrics(tenant))
+}
+
+fn replay_frac(jobs: &[(u64, u64)]) -> f64 {
+    let (replayed, submitted) = jobs
+        .iter()
+        .fold((0, 0), |(r, s), &(jr, js)| (r + jr, s + js));
+    replayed as f64 / submitted as f64
+}
+
+fn assert_session_does_not_age(per_job: &[(u64, u64)], metrics: &TenantMetrics) {
+    let q = per_job.len() / 4;
+    let first = replay_frac(&per_job[..q]);
+    let last = replay_frac(&per_job[per_job.len() - q..]);
+    assert!(
+        first > 0.5,
+        "warm jobs must replay: first quarter {first:.3}"
+    );
+    assert!(
+        (last - first).abs() <= 0.05,
+        "replay fraction aged from {first:.3} to {last:.3}: {per_job:?}"
+    );
+    assert_eq!(metrics.steps_uncached, 0, "the trace cache overflowed");
+}
+
+#[test]
+fn long_lived_session_stays_on_the_replay_path() {
+    let svc = SolveService::new(ServiceConfig {
+        workers: 2,
+        slice_iters: 8,
+        ..ServiceConfig::default()
+    });
+    svc.register_tenant(1, 1);
+    let sid = svc.create_session(1, spec(24, 24, 4, SolverKind::Cg));
+    let (per_job, metrics) = age_session(&svc, 1, sid);
+    assert_session_does_not_age(&per_job, &metrics);
+}
+
+#[test]
+fn migrated_session_stays_on_the_replay_path() {
+    let base = ServiceConfig {
+        workers: 2,
+        slice_iters: 8,
+        ..ServiceConfig::default()
+    };
+    let fleet = |shards| {
+        ShardedService::new(ShardConfig {
+            shards,
+            base: base.clone(),
+            ..ShardConfig::default()
+        })
+    };
+    // A tenant that a second shard takes over.
+    let probe = fleet(2);
+    let tenant = (0..64)
+        .find(|&t| {
+            probe.register_tenant(t, 1);
+            probe.shard_of(t) == Some(1)
+        })
+        .expect("some tenant hashes to the second shard");
+    let svc = fleet(1);
+    svc.register_tenant(tenant, 1);
+    let sid = svc
+        .create_session(tenant, spec(24, 24, 4, SolverKind::Cg))
+        .unwrap();
+    let (per_job, metrics) = age_session(&svc, tenant, sid);
+    assert_session_does_not_age(&per_job, &metrics);
 }

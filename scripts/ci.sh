@@ -40,7 +40,11 @@ cargo run --release -p kdr-bench --bin spmv_kernels -- --ci
 # runtime with the seeded scheduler, asserting zero lost and zero
 # duplicated responses, fairness (max/min completed-iteration ratio
 # <= 2.0 at equal weights), warm-beats-cold time-to-first-iteration,
-# and a bit-identical completion order on a same-seed rerun.
+# and a bit-identical completion order on a same-seed rerun. Its
+# session-aging leg (4 tenants x 12 sequential jobs on long-lived
+# sessions) asserts on counts only: the last quarter of jobs replays
+# >= 0.85 of its tasks from traces, and no step runs analyzed because
+# a trace cache was full (`steps_uncached` = 0).
 cargo run -p kdr-bench --bin service_stress -- --ci
 
 # Sharded-service leg (dev profile): 16 tenants across 4 shard
