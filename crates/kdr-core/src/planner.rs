@@ -91,7 +91,7 @@ impl<T: Scalar> Planner<T> {
     /// Create a planner over a backend.
     pub fn new(backend: Box<dyn Backend<T>>) -> Self {
         Planner {
-            backend: Arc::new(Mutex::new(backend)) as SharedBackend<T>,
+            backend: Arc::new(Mutex::new(backend)),
             sol_comps: Vec::new(),
             rhs_comps: Vec::new(),
             ops: Vec::new(),
@@ -656,6 +656,6 @@ impl<T: Scalar> Planner<T> {
     /// .downcast_mut::<SimBackend<f64>>()...; })`.
     pub fn with_backend<R>(&mut self, f: impl FnOnce(&mut dyn Backend<T>) -> R) -> R {
         let mut b = self.backend.lock();
-        f(&mut *b)
+        f(&mut **b)
     }
 }

@@ -62,12 +62,6 @@ pub struct Runtime {
     reduction_stages: AtomicU64,
     /// Nanoseconds callers spent blocked on reduction results.
     reduction_stall_ns: AtomicU64,
-    /// Cost-catalogue predictions served from observed samples
-    /// (bumped by the service layer via
-    /// [`Runtime::note_catalogue_prediction`]).
-    catalogue_hits: AtomicU64,
-    /// Cost-catalogue predictions that fell back to the prior.
-    catalogue_misses: AtomicU64,
 }
 
 impl Runtime {
@@ -108,21 +102,6 @@ impl Runtime {
             capture_cv: Condvar::new(),
             reduction_stages: AtomicU64::new(0),
             reduction_stall_ns: AtomicU64::new(0),
-            catalogue_hits: AtomicU64::new(0),
-            catalogue_misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Count one cost-catalogue prediction: `hit` when it was served
-    /// from observed samples, miss when it fell back to the roofline
-    /// prior. Called by the service layer at admission so catalogue
-    /// health surfaces in [`Runtime::metrics`] next to everything
-    /// else.
-    pub fn note_catalogue_prediction(&self, hit: bool) {
-        if hit {
-            self.catalogue_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.catalogue_misses.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -469,8 +448,6 @@ impl Runtime {
             execute_ns: events.execute_ns.snapshot(),
             task_counts: self.exec.task_counts(),
             task_execute_ns: self.exec.task_execute_ns(),
-            catalogue_hits: self.catalogue_hits.load(Ordering::Relaxed),
-            catalogue_misses: self.catalogue_misses.load(Ordering::Relaxed),
         }
     }
 }

@@ -211,6 +211,38 @@ impl ServiceMetrics {
     }
 }
 
+/// The service-wide counter tracks of a Chrome trace: reduction-fence
+/// (`reduction_stages`, `reduction_stall_ms`) and degradation
+/// (`task_failures`, `tasks_poisoned`, `tasks_stalled`,
+/// `faults_injected`) counters summed over runtime snapshots, then
+/// the cost catalogue's `catalogue_hits` / `catalogue_misses` and
+/// mean `prediction_error_pct` over tenant slices. One list for every
+/// service, whatever the number of runtimes behind it.
+pub(crate) fn trace_counters<'a>(
+    snaps: &[MetricsSnapshot],
+    tenants: impl IntoIterator<Item = &'a TenantMetrics>,
+) -> Vec<(&'static str, f64)> {
+    let sum = |f: fn(&MetricsSnapshot) -> u64| snaps.iter().map(f).sum::<u64>() as f64;
+    let mut t = TenantMetrics::default();
+    for m in tenants {
+        t.merge(m);
+    }
+    vec![
+        ("reduction_stages", sum(|s| s.reduction_stages)),
+        ("reduction_stall_ms", sum(|s| s.reduction_stall_ns) / 1.0e6),
+        ("task_failures", sum(|s| s.task_failures)),
+        ("tasks_poisoned", sum(|s| s.tasks_poisoned)),
+        ("tasks_stalled", sum(|s| s.tasks_stalled)),
+        ("faults_injected", sum(|s| s.faults_injected)),
+        ("catalogue_hits", t.catalogue_hits as f64),
+        ("catalogue_misses", t.catalogue_misses as f64),
+        (
+            "prediction_error_pct",
+            t.prediction_error_pct().unwrap_or(0.0),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,19 +1,64 @@
 //! Wire codec between service-level types and the durable store's
-//! records: [`SolverKind`] to/from its `(code, p0, f0, f1)` encoding
-//! and [`SessionSpec`] to/from [`StoreOperator`]. Kept private to the
-//! crate — the store format is an implementation detail of
+//! records: [`SolverKind`] to/from its `(code, p0, f0, f1)` encoding,
+//! [`SessionSpec`] to/from [`StoreOperator`], whole sessions to
+//! [`StoreSession`], and the catalogue reseed on open. Kept private to
+//! the crate — the store format is an implementation detail of
 //! `save_store`/`open_store`.
 
 use std::sync::Arc;
 
-use kdr_sparse::{Coo, SparseMatrix, Stencil, StencilKind, Triples};
-use kdr_store::{StoreError, StoreOperator, StoreSession};
+use kdr_machine::MachineConfig;
+use kdr_sparse::{Coo, KernelKind, SparseMatrix, Stencil, StencilKind, Triples};
+use kdr_store::{SharedCatalogue, StoreBundle, StoreError, StoreOperator, StoreSession};
 
+use crate::request::{SessionId, TenantId};
 use crate::session::{SessionSpec, SolverKind};
+
+/// The catalogue an opened store runs with: `given` (or a fresh one
+/// when the caller supplies none) with the bundle's saved entries
+/// merged in.
+pub(crate) fn seeded_catalogue(
+    given: Option<SharedCatalogue>,
+    bundle: &StoreBundle,
+) -> SharedCatalogue {
+    let catalogue = given.unwrap_or_else(|| SharedCatalogue::new(MachineConfig::lassen(1)));
+    for &(key, samples, mean) in &bundle.catalogue {
+        catalogue.insert_entry(key, samples, mean);
+    }
+    catalogue
+}
+
+/// Encode a session as a store record. `kernel` is the kernel every
+/// tile lowered to (`None` lets the restart re-decide); a session
+/// with no completed jobs is restored cold.
+pub(crate) fn session_to_store(
+    id: SessionId,
+    tenant: TenantId,
+    spec: &SessionSpec,
+    kernel: Option<KernelKind>,
+    jobs_completed: u64,
+    steps_captured: u64,
+) -> StoreSession {
+    let (solver_code, solver_p0, solver_f0, solver_f1) = solver_wire(spec.solver);
+    StoreSession {
+        session: id as u64,
+        tenant: u64::from(tenant),
+        unknowns: spec.unknowns,
+        pieces: spec.pieces as u64,
+        solver_code,
+        solver_p0,
+        solver_f0,
+        solver_f1,
+        kernel_code: StoreSession::kernel_code_for(kernel),
+        jobs_completed,
+        steps_captured,
+        operator: operator_to_store(spec),
+    }
+}
 
 /// Encode a [`SolverKind`] as `(code, p0, f0, f1)` wire fields.
 /// Unused parameter slots encode as zero.
-pub(crate) fn solver_wire(kind: SolverKind) -> (u8, u64, f64, f64) {
+fn solver_wire(kind: SolverKind) -> (u8, u64, f64, f64) {
     match kind {
         SolverKind::Cg => (0, 0, 0.0, 0.0),
         SolverKind::BiCg => (1, 0, 0.0, 0.0),
@@ -69,7 +114,7 @@ pub(crate) fn solver_unwire(
 /// order [`SparseMatrix::for_each_entry`] yields, which `Coo`
 /// preserves on rebuild — keeping tiling and accumulation order, and
 /// therefore results, bitwise stable across a save/open cycle).
-pub(crate) fn operator_to_store(spec: &SessionSpec) -> StoreOperator {
+fn operator_to_store(spec: &SessionSpec) -> StoreOperator {
     match spec.stencil {
         Some(desc) => StoreOperator::Stencil {
             kind: desc.kind.code(),

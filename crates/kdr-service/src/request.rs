@@ -107,6 +107,13 @@ pub enum RejectReason {
         /// The degraded shard's index.
         shard: usize,
     },
+    /// A session spec that no session can be built from (zero
+    /// pieces, or an operator whose shape does not match the
+    /// unknowns).
+    BadSessionSpec {
+        /// What is wrong with the spec.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -131,6 +138,7 @@ impl std::fmt::Display for RejectReason {
             RejectReason::ShardDegraded { shard } => {
                 write!(f, "shard {shard} is quarantined (retry after evacuation)")
             }
+            RejectReason::BadSessionSpec { reason } => write!(f, "bad session spec: {reason}"),
         }
     }
 }

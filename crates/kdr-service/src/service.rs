@@ -31,14 +31,13 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use kdr_core::{CancelToken, SolveError, SolveTrace, Solver, StepDriver, StepStatus};
-use kdr_machine::MachineConfig;
 use kdr_runtime::{ColorAffinityMapper, MetricsSnapshot, Runtime, TaskSpan};
 use kdr_sparse::{KernelAdvisor, KernelKind};
 use kdr_store::{
     CatalogueKey, SharedCatalogue, StoreBundle, StoreError, StoreSession, StoreTenant,
 };
 
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{trace_counters, ServiceMetrics};
 use crate::persist;
 use crate::queue::{AdmissionQueue, QueuedJob};
 use crate::request::{
@@ -532,7 +531,6 @@ impl SolveService {
                     } else {
                         m.catalogue_misses += 1;
                     }
-                    self.rt.note_catalogue_prediction(observed);
                 }
                 Ok(())
             }
@@ -677,30 +675,7 @@ impl SolveService {
     pub fn chrome_trace(&self) -> String {
         let snap = self.rt.metrics();
         let st = self.state.lock();
-        let (err_sum, err_n) = st
-            .metrics
-            .all()
-            .values()
-            .fold((0.0f64, 0u64), |(s, n), m| {
-                (s + m.prediction_err_pct_sum, n + m.prediction_samples)
-            });
-        let counters = [
-            ("reduction_stages", snap.reduction_stages as f64),
-            (
-                "reduction_stall_ms",
-                snap.reduction_stall_ns as f64 / 1.0e6,
-            ),
-            ("task_failures", snap.task_failures as f64),
-            ("tasks_poisoned", snap.tasks_poisoned as f64),
-            ("tasks_stalled", snap.tasks_stalled as f64),
-            ("faults_injected", snap.faults_injected as f64),
-            ("catalogue_hits", snap.catalogue_hits as f64),
-            ("catalogue_misses", snap.catalogue_misses as f64),
-            (
-                "prediction_error_pct",
-                if err_n > 0 { err_sum / err_n as f64 } else { 0.0 },
-            ),
-        ];
+        let counters = trace_counters(&[snap], st.metrics.all().values());
         st.metrics.chrome_trace_with_counters(&counters)
     }
 
@@ -889,14 +864,7 @@ impl SolveService {
     /// panic.
     pub fn open_store(path: &Path, mut cfg: ServiceConfig) -> Result<SolveService, StoreError> {
         let bundle = kdr_store::store::load(path)?;
-        let catalogue = cfg
-            .catalogue
-            .take()
-            .unwrap_or_else(|| SharedCatalogue::new(MachineConfig::lassen(1)));
-        for &(key, samples, mean) in &bundle.catalogue {
-            catalogue.insert_entry(key, samples, mean);
-        }
-        cfg.catalogue = Some(catalogue);
+        cfg.catalogue = Some(persist::seeded_catalogue(cfg.catalogue.take(), &bundle));
         let svc = SolveService::new(cfg);
         svc.install_store_bundle(&bundle)?;
         Ok(svc)
@@ -923,7 +891,11 @@ impl SolveService {
     /// Install one stored session: rebuild its spec, pin its
     /// persisted kernel choice, and pre-warm it if it was warm at
     /// save time. The owning tenant must already be registered.
-    pub(crate) fn install_store_session(&self, s: &StoreSession) -> Result<(), StoreError> {
+    /// Returns the rebuilt spec.
+    pub(crate) fn install_store_session(
+        &self,
+        s: &StoreSession,
+    ) -> Result<SessionSpec, StoreError> {
         let malformed = |what: &'static str| StoreError::Malformed { offset: 0, what };
         let id =
             SessionId::try_from(s.session).map_err(|_| malformed("session id out of range"))?;
@@ -934,11 +906,11 @@ impl SolveService {
         }
         let spec = persist::spec_from_store(s)?;
         let forced = s.forced_kernel()?;
-        self.create_session_with_id(id, tenant, spec, forced);
+        self.create_session_with_id(id, tenant, spec.clone(), forced);
         if s.jobs_completed > 0 {
             self.prewarm_session(id);
         }
-        Ok(())
+        Ok(spec)
     }
 
     /// Registered tenants with their base weights, as store records.
@@ -972,22 +944,15 @@ impl SolveService {
                 }
                 _ => None,
             };
-            let (solver_code, solver_p0, solver_f0, solver_f1) =
-                persist::solver_wire(sess.spec().solver);
-            out.push(StoreSession {
-                session: id as u64,
-                tenant: u64::from(sess.tenant()),
-                unknowns: sess.unknowns(),
-                pieces: sess.spec().pieces as u64,
-                solver_code,
-                solver_p0,
-                solver_f0,
-                solver_f1,
-                kernel_code: StoreSession::kernel_code_for(kernel),
-                jobs_completed: sess.jobs_completed(),
-                steps_captured: sess.steps_captured(),
-                operator: persist::operator_to_store(sess.spec()),
-            });
+            let (jobs, steps) = (sess.jobs_completed(), sess.steps_captured());
+            out.push(persist::session_to_store(
+                id,
+                sess.tenant(),
+                sess.spec(),
+                kernel,
+                jobs,
+                steps,
+            ));
         }
         out
     }

@@ -24,7 +24,7 @@ use kdr_sparse::{
     TileStructure,
 };
 
-use crate::request::TenantId;
+use crate::request::{RejectReason, TenantId};
 
 /// Which Krylov method a session's jobs run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -127,6 +127,22 @@ impl SessionSpec {
             solver,
             stencil: Some(desc),
         }
+    }
+
+    /// Check that a session can be built from this spec: at least one
+    /// piece, and an operator that is square over `unknowns`.
+    pub(crate) fn validate(&self) -> Result<(), RejectReason> {
+        let bad = |reason| Err(RejectReason::BadSessionSpec { reason });
+        if self.pieces == 0 {
+            return bad("pieces must be at least 1");
+        }
+        if self.matrix.domain_space().size() != self.unknowns
+            || self.matrix.range_space().size() != self.unknowns
+            || self.stencil.is_some_and(|d| d.unknowns() != self.unknowns)
+        {
+            return bad("operator is not square over the unknowns");
+        }
+        Ok(())
     }
 }
 

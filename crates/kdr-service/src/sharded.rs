@@ -52,11 +52,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use kdr_machine::MachineConfig;
 use kdr_runtime::TaskSpan;
-use kdr_store::{SharedCatalogue, StoreBundle, StoreError, StoreSession, StoreTenant};
+use kdr_store::{StoreBundle, StoreError, StoreSession, StoreTenant};
 
-use crate::metrics::TenantMetrics;
+use crate::metrics::{trace_counters, TenantMetrics};
 use crate::persist;
 use crate::queue::QueuedJob;
 use crate::request::{
@@ -438,14 +437,17 @@ impl ShardedService {
     }
 
     /// Create a plan-cached session for a registered tenant on its
-    /// current shard. Returns `Err(UnknownTenant)` for unregistered
-    /// tenants and `Err(ShardDegraded)` while the tenant's shard is
-    /// quarantined (transient: retry after evacuation).
+    /// current shard. Returns `Err(BadSessionSpec)` for a spec no
+    /// session can be built from, `Err(UnknownTenant)` for
+    /// unregistered tenants and `Err(ShardDegraded)` while the
+    /// tenant's shard is quarantined (transient: retry after
+    /// evacuation). A rejected spec leaves no front-door state behind.
     pub fn create_session(
         &self,
         tenant: TenantId,
         spec: SessionSpec,
     ) -> Result<SessionId, RejectReason> {
+        spec.validate()?;
         let mut front = self.front.lock();
         let Some(&shard) = front.placements.get(&tenant) else {
             return Err(RejectReason::UnknownTenant { tenant });
@@ -1208,52 +1210,25 @@ impl ShardedService {
             .into_iter()
             .map(|(t, spans)| (format!("tenant-{t}"), spans))
             .collect();
-        let (mut stages, mut stall_ns) = (0u64, 0u64);
-        let (mut failures, mut poisoned, mut stalled, mut injected) = (0u64, 0u64, 0u64, 0u64);
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let (mut err_sum, mut err_n) = (0.0f64, 0u64);
-        for shard in &shards {
-            let snap = shard.runtime().metrics();
-            stages += snap.reduction_stages;
-            stall_ns += snap.reduction_stall_ns;
-            failures += snap.task_failures;
-            poisoned += snap.tasks_poisoned;
-            stalled += snap.tasks_stalled;
-            injected += snap.faults_injected;
-            hits += snap.catalogue_hits;
-            misses += snap.catalogue_misses;
-            for m in shard.metrics().values() {
-                err_sum += m.prediction_err_pct_sum;
-                err_n += m.prediction_samples;
-            }
-        }
-        let counters = [
-            ("reduction_stages", stages as f64),
-            ("reduction_stall_ms", stall_ns as f64 / 1.0e6),
-            ("task_failures", failures as f64),
-            ("tasks_poisoned", poisoned as f64),
-            ("tasks_stalled", stalled as f64),
-            ("faults_injected", injected as f64),
-            ("catalogue_hits", hits as f64),
-            ("catalogue_misses", misses as f64),
-            (
-                "prediction_error_pct",
-                if err_n > 0 { err_sum / err_n as f64 } else { 0.0 },
-            ),
-        ];
+        let snaps: Vec<_> = shards.iter().map(|s| s.runtime().metrics()).collect();
+        let tenants: Vec<TenantMetrics> = shards
+            .iter()
+            .flat_map(|s| s.metrics().into_values())
+            .collect();
+        let counters = trace_counters(&snaps, &tenants);
         kdr_runtime::chrome_trace_json_with_counters(&groups, &counters)
     }
 
     /// Persist the fleet's durable state to `path` as one bundle: the
     /// shared cost catalogue (every shard refines the same
-    /// [`SharedCatalogue`] from `base.catalogue`), every registered
-    /// tenant at its front-door base weight, and every session. Live
-    /// shards export their sessions warm (pinned kernel, completed-job
-    /// counts); a session stranded on a killed or removed shard is
-    /// exported *cold* from its front-door spec — its warm plan died
-    /// with the shard, which is exactly crash semantics. Queued and
-    /// in-flight jobs are not persisted. The write is atomic (temp
-    /// file + rename).
+    /// [`SharedCatalogue`](kdr_store::SharedCatalogue) from
+    /// `base.catalogue`), every registered tenant at its front-door
+    /// base weight, and every session. Live shards export their
+    /// sessions warm (pinned kernel, completed-job counts); a session
+    /// stranded on a killed or removed shard is exported *cold* from
+    /// its front-door spec — its warm plan died with the shard, which
+    /// is exactly crash semantics. Queued and in-flight jobs are not
+    /// persisted. The write is atomic (temp file + rename).
     pub fn save_store(&self, path: &Path) -> Result<(), StoreError> {
         let front = self.front.lock();
         let mut sessions = Vec::new();
@@ -1273,21 +1248,7 @@ impl ShardedService {
             let Some(spec) = front.session_specs.get(&sid) else {
                 continue;
             };
-            let (solver_code, solver_p0, solver_f0, solver_f1) = persist::solver_wire(spec.solver);
-            sessions.push(StoreSession {
-                session: sid as u64,
-                tenant: u64::from(tenant),
-                unknowns: spec.unknowns,
-                pieces: spec.pieces as u64,
-                solver_code,
-                solver_p0,
-                solver_f0,
-                solver_f1,
-                kernel_code: StoreSession::kernel_code_for(None),
-                jobs_completed: 0,
-                steps_captured: 0,
-                operator: persist::operator_to_store(spec),
-            });
+            sessions.push(persist::session_to_store(sid, tenant, spec, None, 0, 0));
         }
         sessions.sort_by_key(|s| s.session);
         let bundle = StoreBundle {
@@ -1326,15 +1287,10 @@ impl ShardedService {
     /// invalid stores fail with a typed [`StoreError`], never a panic.
     pub fn open_store(path: &Path, mut cfg: ShardConfig) -> Result<ShardedService, StoreError> {
         let bundle = kdr_store::store::load(path)?;
-        let catalogue = cfg
-            .base
-            .catalogue
-            .take()
-            .unwrap_or_else(|| SharedCatalogue::new(MachineConfig::lassen(1)));
-        for &(key, samples, mean) in &bundle.catalogue {
-            catalogue.insert_entry(key, samples, mean);
-        }
-        cfg.base.catalogue = Some(catalogue);
+        cfg.base.catalogue = Some(persist::seeded_catalogue(
+            cfg.base.catalogue.take(),
+            &bundle,
+        ));
         let svc = ShardedService::new(cfg);
         let malformed = |what: &'static str| StoreError::Malformed { offset: 0, what };
         for t in &bundle.tenants {
@@ -1354,19 +1310,13 @@ impl ShardedService {
                 let Some(&shard) = front.placements.get(&tenant) else {
                     return Err(malformed("session references an unregistered tenant"));
                 };
-                let spec = persist::spec_from_store(s)?;
-                let forced = s.forced_kernel()?;
-                front.session_owner.insert(id, tenant);
-                front.session_specs.insert(id, spec.clone());
-                front.next_session = front.next_session.max(id.saturating_add(1));
-                let engine = front.slots[shard]
+                let spec = front.slots[shard]
                     .live()
                     .expect("a fresh fleet's shards are all live")
-                    .clone();
-                engine.create_session_with_id(id, tenant, spec, forced);
-                if s.jobs_completed > 0 {
-                    engine.prewarm_session(id);
-                }
+                    .install_store_session(s)?;
+                front.session_owner.insert(id, tenant);
+                front.session_specs.insert(id, spec);
+                front.next_session = front.next_session.max(id.saturating_add(1));
             }
         }
         Ok(svc)

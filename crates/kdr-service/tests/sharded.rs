@@ -336,3 +336,66 @@ fn rebalancer_moves_backlog_off_the_busiest_shard() {
     let merged = svc.metrics();
     assert_eq!(merged[&moved].jobs_completed, 4);
 }
+
+/// A spec no session can be built from is rejected with a typed error
+/// before the front door records anything, so a later crash recovery
+/// and a save/open cycle see only the tenant's valid sessions.
+#[test]
+fn malformed_session_spec_rejected_without_orphans() {
+    let svc = sharded(2);
+    svc.register_tenant(1, 1);
+    let good = svc
+        .create_session(1, spec(8, 8, 2, SolverKind::Cg))
+        .unwrap();
+    let no_pieces = spec(8, 8, 0, SolverKind::Cg);
+    let mut wrong_size = spec(8, 8, 2, SolverKind::Cg);
+    wrong_size.unknowns = 63;
+    for bad in [no_pieces, wrong_size] {
+        assert!(matches!(
+            svc.create_session(1, bad),
+            Err(RejectReason::BadSessionSpec { .. })
+        ));
+    }
+
+    // Crash the tenant's shard: recovery rebuilds its sessions from
+    // the front-door specs, which hold only the valid one.
+    let home = svc.shard_of(1).unwrap();
+    assert!(svc.kill_shard(home));
+    assert_ne!(svc.shard_of(1), Some(home), "tenant 1 rebuilt elsewhere");
+
+    let dir = std::env::temp_dir().join("kdr_service_sharded_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad_spec.kdrstore");
+    svc.save_store(&path).unwrap();
+    let reopened = ShardedService::open_store(
+        &path,
+        ShardConfig {
+            shards: 2,
+            ..ShardConfig::default()
+        },
+    )
+    .unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    let control = SolveControl::to_tolerance(1e-10, 1000);
+    for fleet in [&svc, &reopened] {
+        fleet
+            .submit(
+                1,
+                SolveRequest::new(good, rhs_vector::<f64>(64, 1), control.clone()),
+            )
+            .unwrap();
+        fleet.run_until_idle();
+        let rs = fleet.take_responses();
+        assert_eq!(rs.len(), 1);
+        assert!(rs[0].outcome.is_converged(), "{:?}", rs[0].outcome);
+        // The rejected specs never became sessions.
+        let err = fleet
+            .submit(
+                1,
+                SolveRequest::new(good + 1, rhs_vector::<f64>(64, 2), control.clone()),
+            )
+            .unwrap_err();
+        assert_eq!(err, RejectReason::UnknownSession { session: good + 1 });
+    }
+}

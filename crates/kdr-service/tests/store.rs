@@ -77,7 +77,7 @@ fn cold_tenant_first_job_screens_against_catalogue_prediction() {
 
 /// Every admitted job counts as exactly one catalogue hit or miss —
 /// `hits + misses == admitted` — both in the per-tenant metrics and
-/// the runtime snapshot; rejected jobs count as neither.
+/// the service's trace counter tracks; rejected jobs count as neither.
 #[test]
 fn catalogue_hits_and_misses_reconcile_with_admissions() {
     let cat = catalogue();
@@ -116,9 +116,15 @@ fn catalogue_hits_and_misses_reconcile_with_admissions() {
     assert_eq!(metrics[&1].catalogue_hits, 1);
     assert_eq!(metrics[&1].catalogue_misses, 0);
     assert_eq!(metrics[&2].catalogue_misses, 2);
-    let snap = svc.runtime().metrics();
-    assert_eq!(snap.catalogue_hits, hits);
-    assert_eq!(snap.catalogue_misses, misses);
+    let trace = svc.chrome_trace();
+    let track = |name: &str, value: u64| {
+        format!("\"name\":\"{name}\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":0,\"args\":{{\"value\":{value}}}")
+    };
+    assert!(trace.contains(&track("catalogue_hits", hits)), "{trace}");
+    assert!(
+        trace.contains(&track("catalogue_misses", misses)),
+        "{trace}"
+    );
     // Completed jobs also feed the prediction-error gauge.
     assert!(metrics[&1].prediction_error_pct().is_some());
 }

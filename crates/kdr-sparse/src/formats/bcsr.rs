@@ -11,7 +11,7 @@
 //! as the paper prescribes.
 
 use kdr_index::{
-    ComposedRelation, FnRelation, IndexSpace, IntervalMapRelation, IntervalSet, ProjectionAxis,
+    ComposedRelation, FnRelation, IndexSpace, IntervalMapRelation, ProjectionAxis,
     ProjectionRelation, Relation, TransposedRelation,
 };
 
@@ -166,36 +166,6 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsr<T, I> {
         }
     }
 
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let bs = self.block_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let k0 = k / bs;
-                let within = k % bs;
-                let (r, c) = (within / self.bd, within % self.bd);
-                let bi = (self.block_rowptr.partition_point(|&p| p <= k0) - 1) as u64;
-                let bj = self.block_colidx[k0 as usize].to_u64();
-                y[(bi * self.br + r) as usize] +=
-                    self.blocks[k as usize] * x[(bj * self.bd + c) as usize];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let bs = self.block_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let k0 = k / bs;
-                let within = k % bs;
-                let (r, c) = (within / self.bd, within % self.bd);
-                let bi = (self.block_rowptr.partition_point(|&p| p <= k0) - 1) as u64;
-                let bj = self.block_colidx[k0 as usize].to_u64();
-                y[(bj * self.bd + c) as usize] +=
-                    self.blocks[k as usize] * x[(bi * self.br + r) as usize];
-            }
-        }
-    }
-
     fn spmv_add(&self, x: &[T], y: &mut [T]) {
         // Fast whole-matrix path: iterate blocks without per-point
         // decoding.
@@ -345,36 +315,6 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsc<T, I> {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let bs = self.block_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let k0 = k / bs;
-                let within = k % bs;
-                let (r, c) = (within / self.bd, within % self.bd);
-                let bj = (self.block_colptr.partition_point(|&p| p <= k0) - 1) as u64;
-                let bi = self.block_rowidx[k0 as usize].to_u64();
-                y[(bi * self.br + r) as usize] +=
-                    self.blocks[k as usize] * x[(bj * self.bd + c) as usize];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let bs = self.block_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let k0 = k / bs;
-                let within = k % bs;
-                let (r, c) = (within / self.bd, within % self.bd);
-                let bj = (self.block_colptr.partition_point(|&p| p <= k0) - 1) as u64;
-                let bi = self.block_rowidx[k0 as usize].to_u64();
-                y[(bj * self.bd + c) as usize] +=
-                    self.blocks[k as usize] * x[(bi * self.br + r) as usize];
             }
         }
     }

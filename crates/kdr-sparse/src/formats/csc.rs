@@ -5,9 +5,7 @@
 //! `colptr : D -> [K, K]` and `row : K -> R`. CSC is CSR's mirror
 //! image; its adjoint SpMV is the fast direction.
 
-use kdr_index::{
-    FnRelation, IndexSpace, IntervalMapRelation, IntervalSet, Relation, TransposedRelation,
-};
+use kdr_index::{FnRelation, IndexSpace, IntervalMapRelation, Relation, TransposedRelation};
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
@@ -64,12 +62,6 @@ impl<T: Scalar, I: IndexInt> Csc<T, I> {
     pub fn colptr(&self) -> &[u64] {
         &self.colptr
     }
-
-    /// Column owning kernel point `k`.
-    #[inline]
-    fn col_of(&self, k: u64) -> u64 {
-        (self.colptr.partition_point(|&p| p <= k) - 1) as u64
-    }
 }
 
 impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csc<T, I> {
@@ -109,42 +101,6 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csc<T, I> {
                     self.values[k as usize],
                 );
             }
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.cols());
-        debug_assert_eq!(y.len() as u64, self.rows);
-        for run in piece.runs() {
-            let mut col = self.col_of(run.lo);
-            let mut col_end = self.colptr[col as usize + 1];
-            for k in run.lo..run.hi {
-                while k >= col_end {
-                    col += 1;
-                    col_end = self.colptr[col as usize + 1];
-                }
-                y[self.rowidx[k as usize].to_usize()] += self.values[k as usize] * x[col as usize];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.rows);
-        debug_assert_eq!(y.len() as u64, self.cols());
-        for run in piece.runs() {
-            let mut col = self.col_of(run.lo);
-            let mut col_end = self.colptr[col as usize + 1];
-            let mut acc = T::ZERO;
-            for k in run.lo..run.hi {
-                while k >= col_end {
-                    y[col as usize] += acc;
-                    acc = T::ZERO;
-                    col += 1;
-                    col_end = self.colptr[col as usize + 1];
-                }
-                acc = self.values[k as usize].mul_add(x[self.rowidx[k as usize].to_usize()], acc);
-            }
-            y[col as usize] += acc;
         }
     }
 }

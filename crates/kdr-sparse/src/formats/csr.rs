@@ -163,22 +163,6 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csr<T, I> {
             y[row as usize] += acc;
         }
     }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.rows());
-        debug_assert_eq!(y.len() as u64, self.cols);
-        for run in piece.runs() {
-            let mut row = self.row_of(run.lo);
-            let mut row_end = self.rowptr[row as usize + 1];
-            for k in run.lo..run.hi {
-                while k >= row_end {
-                    row += 1;
-                    row_end = self.rowptr[row as usize + 1];
-                }
-                y[self.colidx[k as usize].to_usize()] += self.values[k as usize] * x[row as usize];
-            }
-        }
-    }
 }
 
 #[cfg(test)]

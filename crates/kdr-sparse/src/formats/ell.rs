@@ -10,9 +10,7 @@
 //! coordinate (or 0 for empty rows), so the stored relations stay
 //! total without introducing artificial dependencies on column 0.
 
-use kdr_index::{
-    FnRelation, IndexSpace, IntervalSet, ProjectionAxis, ProjectionRelation, Relation,
-};
+use kdr_index::{FnRelation, IndexSpace, ProjectionAxis, ProjectionRelation, Relation};
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
@@ -124,24 +122,6 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Ell<T, I> {
             );
         }
     }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let i = (k / self.width) as usize;
-                y[i] += self.values[k as usize] * x[self.colidx[k as usize].to_usize()];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let i = (k / self.width) as usize;
-                y[self.colidx[k as usize].to_usize()] += self.values[k as usize] * x[i];
-            }
-        }
-    }
 }
 
 /// Column-major ELLPACK (the paper's ELL'): kernel point
@@ -239,30 +219,13 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for EllT<T, I> {
             );
         }
     }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let j = (k / self.width) as usize;
-                y[self.rowidx[k as usize].to_usize()] += self.values[k as usize] * x[j];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let j = (k / self.width) as usize;
-                y[j] += self.values[k as usize] * x[self.rowidx[k as usize].to_usize()];
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::formats::csr::Csr;
+    use kdr_index::IntervalSet;
 
     fn t() -> Triples<f64> {
         Triples::from_entries(

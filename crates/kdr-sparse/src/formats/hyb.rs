@@ -179,38 +179,6 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
             );
         }
     }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let base = self.ell_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                if k < base {
-                    let i = (k / self.width) as usize;
-                    y[i] += self.ell_vals[k as usize] * x[self.ell_cols[k as usize].to_usize()];
-                } else {
-                    let i = (k - base) as usize;
-                    y[self.coo_rows[i].to_usize()] +=
-                        self.coo_vals[i] * x[self.coo_cols[i].to_usize()];
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let base = self.ell_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                if k < base {
-                    let i = (k / self.width) as usize;
-                    y[self.ell_cols[k as usize].to_usize()] += self.ell_vals[k as usize] * x[i];
-                } else {
-                    let i = (k - base) as usize;
-                    y[self.coo_cols[i].to_usize()] +=
-                        self.coo_vals[i] * x[self.coo_rows[i].to_usize()];
-                }
-            }
-        }
-    }
 }
 
 /// The ELL body's implicit row relation, partial over the combined

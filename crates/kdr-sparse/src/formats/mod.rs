@@ -4,6 +4,8 @@
 //! type implementing [`crate::SparseMatrix`]: the format's structural
 //! assumptions determine its kernel-space shape, and its stored
 //! metadata (or lack thereof) determines its row/column relations.
+//! A format is only this description: its matrix-vector products
+//! come from the trait's entrywise kernel.
 
 pub mod bcsr;
 pub mod coo;

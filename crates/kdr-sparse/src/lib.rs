@@ -8,8 +8,10 @@
 //! with a *column relation* `col ⊆ K × D` and a *row relation*
 //! `row ⊆ K × R`. Every format in this crate implements the
 //! [`SparseMatrix`] trait, which exposes exactly those three pieces
-//! plus computational kernels (SpMV, adjoint SpMV, and
-//! piece-restricted variants used by partitioned execution).
+//! plus an entry visitor. Formats write no kernels: SpMV, adjoint
+//! SpMV and their piece-restricted variants are provided once by the
+//! trait, and execution lowers every operator to the tile kernels in
+//! [`tile`].
 //!
 //! Formats implemented (the paper's Figure 3):
 //!

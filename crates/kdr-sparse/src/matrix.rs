@@ -1,22 +1,27 @@
-//! The [`SparseMatrix`] trait: a matrix *is* its K/D/R description
-//! plus kernels.
+//! The [`SparseMatrix`] trait: a matrix *is* its K/D/R description.
 //!
 //! This is the library boundary the paper argues for: a format
-//! participates in KDRSolvers by exposing its kernel space and its
-//! row/column relations — nothing else. Co-partitioning, dependence
-//! analysis and solver code never look inside the format; only the
-//! computational kernels do.
+//! participates in KDRSolvers by exposing its kernel space, its
+//! row/column relations and an entry visitor — nothing else.
+//! Co-partitioning, dependence analysis and solver code never look
+//! inside the format, and every matrix-vector product is derived from
+//! [`SparseMatrix::for_each_entry`]: the reference entrywise kernel
+//! here, and the tile kernels the execution backend lowers operators
+//! to.
 
 use kdr_index::{IndexSpace, IntervalSet, Relation};
 
 use crate::scalar::Scalar;
 
-/// A sparse (or dense) matrix described by kernel/domain/range spaces,
-/// row and column relations, and matrix-vector kernels.
+/// A sparse (or dense) matrix described by kernel/domain/range spaces
+/// and row and column relations.
 ///
-/// Kernels use *add* semantics (`y += A x`) because multi-operator
-/// systems accumulate several components into one output vector
-/// (paper §4.1); plain `y = A x` is a zero-fill followed by an add.
+/// A format implements the spaces, the relations and
+/// [`for_each_entry`](SparseMatrix::for_each_entry); the
+/// matrix-vector products are provided on top of them. Kernels use
+/// *add* semantics (`y += A x`) because multi-operator systems
+/// accumulate several components into one output vector (paper
+/// §4.1); plain `y = A x` is a zero-fill followed by an add.
 pub trait SparseMatrix<T: Scalar>: Send + Sync {
     /// The kernel space `K` indexing stored entries.
     fn kernel_space(&self) -> IndexSpace;
@@ -47,13 +52,25 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
     /// `y += A x` restricted to the kernel points in `piece`.
     ///
     /// `x` spans the full domain space and `y` the full range space;
-    /// only entries in `piece` contribute. This is the kernel launched
-    /// per color after co-partitioning.
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]);
+    /// only entries in `piece` contribute, accumulated in
+    /// [`for_each_entry`](SparseMatrix::for_each_entry) order.
+    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
+        self.for_each_entry(&mut |k, i, j, v| {
+            if piece.contains(k) {
+                y[i as usize] += v * x[j as usize];
+            }
+        });
+    }
 
     /// `y += Aᵀ x` restricted to the kernel points in `piece`
     /// (`x` over `R`, `y` over `D`).
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]);
+    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
+        self.for_each_entry(&mut |k, i, j, v| {
+            if piece.contains(k) {
+                y[j as usize] += v * x[i as usize];
+            }
+        });
+    }
 
     /// `y += A x` over the whole kernel space.
     fn spmv_add(&self, x: &[T], y: &mut [T]) {
@@ -101,16 +118,6 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
             crate::triples::Triples::new(self.range_space().size(), self.domain_space().size());
         self.for_each_entry(&mut |_, i, j, v| t.push(i, j, v));
         t
-    }
-
-    /// Fallback entry-wise piece kernel used by formats without a
-    /// faster override; provided for implementors.
-    fn generic_spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        self.for_each_entry(&mut |k, i, j, v| {
-            if piece.contains(k) {
-                y[i as usize] += v * x[j as usize];
-            }
-        });
     }
 }
 

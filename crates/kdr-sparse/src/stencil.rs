@@ -523,50 +523,6 @@ impl<T: Scalar> SparseMatrix<T> for StencilOperator<T> {
             }
         }
     }
-
-    fn spmv_add_piece(&self, piece: &kdr_index::IntervalSet, x: &[T], y: &mut [T]) {
-        let n = self.n();
-        for k0 in 0..self.offsets.len() {
-            let base = k0 as u64 * n;
-            let off = self.offsets[k0];
-            let slab = piece.intersect(&kdr_index::IntervalSet::from_range(base, base + n));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    let row = i as i64 - off;
-                    if row < 0 || row as u64 >= n {
-                        continue;
-                    }
-                    let v = self.value_at(k0, i);
-                    if v != T::ZERO {
-                        y[row as usize] += v * x[i as usize];
-                    }
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &kdr_index::IntervalSet, x: &[T], y: &mut [T]) {
-        let n = self.n();
-        for k0 in 0..self.offsets.len() {
-            let base = k0 as u64 * n;
-            let off = self.offsets[k0];
-            let slab = piece.intersect(&kdr_index::IntervalSet::from_range(base, base + n));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    let row = i as i64 - off;
-                    if row < 0 || row as u64 >= n {
-                        continue;
-                    }
-                    let v = self.value_at(k0, i);
-                    if v != T::ZERO {
-                        y[i as usize] += v * x[row as usize];
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// A virtual banded operator: a handful of diagonals, each with one
@@ -668,38 +624,6 @@ impl<T: Scalar> SparseMatrix<T> for VirtualBanded<T> {
                     i,
                     self.weights[k0],
                 );
-            }
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &kdr_index::IntervalSet, x: &[T], y: &mut [T]) {
-        for k0 in 0..self.offsets.len() {
-            let base = k0 as u64 * self.cols;
-            let off = self.offsets[k0];
-            let w = self.weights[k0];
-            let (lo, hi) = self.valid_range(k0);
-            let slab = piece.intersect(&kdr_index::IntervalSet::from_range(base + lo, base + hi));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    y[(i as i64 - off) as usize] += w * x[i as usize];
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &kdr_index::IntervalSet, x: &[T], y: &mut [T]) {
-        for k0 in 0..self.offsets.len() {
-            let base = k0 as u64 * self.cols;
-            let off = self.offsets[k0];
-            let w = self.weights[k0];
-            let (lo, hi) = self.valid_range(k0);
-            let slab = piece.intersect(&kdr_index::IntervalSet::from_range(base + lo, base + hi));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    y[i as usize] += w * x[(i as i64 - off) as usize];
-                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Property tests: every storage format defines the same linear
 //! operator, its relations agree with its entries, and partitioned
-//! kernels compose to the whole product.
+//! kernels compose to the whole product in both directions.
 
 use kdr_sparse::convert;
 use kdr_sparse::{Csr, SparseMatrix, Triples};
@@ -97,6 +97,17 @@ proptest! {
             }
             for i in 0..acc.len() {
                 prop_assert!((acc[i] - whole[i]).abs() < 1e-10, "{name} row {i}");
+            }
+            // The transpose direction composes the same way.
+            let xt = arb_vec(t.rows() as usize);
+            let mut whole_t = vec![0.0; t.cols() as usize];
+            m.spmv_transpose(&xt, &mut whole_t);
+            let mut acc_t = vec![0.0; t.cols() as usize];
+            for p in m.kernel_space().all().split_equal(pieces) {
+                m.spmv_transpose_add_piece(&p, &xt, &mut acc_t);
+            }
+            for j in 0..acc_t.len() {
+                prop_assert!((acc_t[j] - whole_t[j]).abs() < 1e-10, "{name} col {j}");
             }
         }
     }

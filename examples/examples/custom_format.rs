@@ -4,18 +4,17 @@
 //! The format: "diagonal + sparse corrections" — the main diagonal in
 //! a dense array plus off-diagonal entries in COO arrays. It lives
 //! entirely in this example file; by implementing `SparseMatrix`
-//! (i.e., by *stating its row and column relations*), it gains
-//! format-independent co-partitioning, tiling, and every solver —
-//! none of which know it exists.
+//! (i.e., by *stating its row and column relations* and visiting its
+//! entries), it gains format-independent co-partitioning, tiling,
+//! SpMV kernels and every solver — none of which know it exists. It
+//! writes no kernel of its own.
 //!
 //! Run: `cargo run --release -p kdr-examples --example custom_format`
 
 use std::sync::Arc;
 
 use kdr_core::{solve, CgSolver, ExecBackend, Planner, SolveControl, SOL};
-use kdr_index::{
-    DiagonalRelation, FnRelation, IndexSpace, IntervalSet, Partition, Relation, UnionRelation,
-};
+use kdr_index::{DiagonalRelation, FnRelation, IndexSpace, Partition, Relation, UnionRelation};
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{Scalar, SparseMatrix, Stencil};
 
@@ -99,34 +98,6 @@ impl<T: Scalar> SparseMatrix<T> for DiagPlusCoo<T> {
         let n = self.n();
         for i in 0..self.vals.len() {
             f(n + i as u64, self.rows[i], self.cols[i], self.vals[i]);
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let n = self.n();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                if k < n {
-                    y[k as usize] += self.diag[k as usize] * x[k as usize];
-                } else {
-                    let i = (k - n) as usize;
-                    y[self.rows[i] as usize] += self.vals[i] * x[self.cols[i] as usize];
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let n = self.n();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                if k < n {
-                    y[k as usize] += self.diag[k as usize] * x[k as usize];
-                } else {
-                    let i = (k - n) as usize;
-                    y[self.cols[i] as usize] += self.vals[i] * x[self.rows[i] as usize];
-                }
-            }
         }
     }
 }
