@@ -250,19 +250,19 @@ pub trait Backend<T: Scalar>: Send {
     /// `dst ← src + alpha · dst`.
     fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec);
 
-    /// Inner product across all components.
-    fn dot(&mut self, a: BVec, b: BVec) -> SRef;
+    /// Inner product across all components: the fused reduction of
+    /// one pair.
+    fn dot(&mut self, a: BVec, b: BVec) -> SRef {
+        self.dot_many(&[(a, b)])[0]
+    }
 
     /// Fused multi-reduction: all pairs' inner products launched as
     /// one DAG stage with a single combine, returning one scalar per
-    /// pair (in order). Backends that can fuse override this to count
-    /// the whole batch as one reduction stage — and must preserve the
-    /// per-pair partial accumulation order so each result is bitwise
-    /// identical to a standalone [`Backend::dot`]. The default lowers
-    /// to sequential `dot` calls.
-    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
-        pairs.iter().map(|&(a, b)| self.dot(a, b)).collect()
-    }
+    /// pair (in order) and counting the whole batch as one reduction
+    /// stage. Each pair's partials accumulate in the same order
+    /// whatever the batch, so every result is bitwise identical to a
+    /// standalone [`Backend::dot`] of that pair.
+    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef>;
 
     /// Materialize a scalar constant.
     fn scalar_const(&mut self, v: T) -> SRef;

@@ -889,84 +889,13 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.dispatch_all(tasks);
     }
 
-    fn dot(&mut self, a: BVec, b: BVec) -> SRef {
-        {
-            let av = &self.vectors[a];
-            let bv = &self.vectors[b];
-            assert_eq!(av.comps.len(), bv.comps.len(), "dot structure mismatch");
-        }
-        let total_slots: usize = self.vectors[a]
-            .comps
-            .iter()
-            .map(|c| c.part.num_colors())
-            .sum();
-        let partials = self.dot_partials_buffer(total_slots);
-        let sref = self.alloc_slot();
-        let mut tasks = Vec::new();
-        let av = &self.vectors[a];
-        let bv = &self.vectors[b];
-        let mut slot = 0usize;
-        for (ci, ac) in av.comps.iter().enumerate() {
-            let bc = &bv.comps[ci];
-            assert_eq!(ac.buf.len(), bc.buf.len(), "dot component {ci} mismatch");
-            for color in 0..ac.part.num_colors() {
-                let subset = ac.part.piece(color).clone();
-                let my_slot = slot;
-                slot += 1;
-                if subset.is_empty() {
-                    continue;
-                }
-                tasks.push(
-                    TaskBuilder::new("dot_partial")
-                        .meta(TaskMeta::new("dot_partial").with_color(piece_color(ci, color)))
-                        .read(&ac.buf, subset.clone())
-                        .read(&bc.buf, subset.clone())
-                        .write(
-                            &partials,
-                            IntervalSet::from_range(my_slot as u64, my_slot as u64 + 1),
-                        )
-                        .body(move |ctx| {
-                            let x = ctx.read::<T>(0);
-                            let y = ctx.read::<T>(1);
-                            let out = ctx.write::<T>(2);
-                            let mut acc = T::ZERO;
-                            for run in ctx.subset(0).runs() {
-                                for i in run.lo as usize..run.hi as usize {
-                                    acc = x.get(i).mul_add(y.get(i), acc);
-                                }
-                            }
-                            out.set(my_slot, acc);
-                        }),
-                );
-            }
-        }
-        let n = total_slots;
-        tasks.push(
-            TaskBuilder::new("dot_reduce")
-                .read_all(&partials)
-                .write_all(&self.scalars[sref])
-                .body(move |ctx| {
-                    let p = ctx.read::<T>(0);
-                    let out = ctx.write::<T>(1);
-                    let mut acc = T::ZERO;
-                    for i in 0..n {
-                        acc += p.get(i);
-                    }
-                    out.set(0, acc);
-                }),
-        );
-        self.note_reduction();
-        self.dispatch_all(tasks);
-        sref
-    }
-
     /// Fused multi-dot: every pair's partial tasks launch as one DAG
     /// stage sharing one pooled partials buffer, and a single
-    /// `dot_reduce_many` combine task produces all result scalars —
-    /// one reduction stage for the whole batch. Each pair's partials
+    /// `dot_reduce` combine task produces all result scalars — one
+    /// reduction stage for the whole batch. Each pair's partials
     /// occupy a contiguous slot range and are summed in ascending
     /// slot order, so every result is bitwise identical to a
-    /// standalone [`Backend::dot`] of the same pair.
+    /// standalone [`Backend::dot`] (a batch of one) of the same pair.
     fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
         if pairs.is_empty() {
             return Vec::new();
@@ -1027,7 +956,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         let ranges: Vec<(usize, usize)> = (0..pairs.len())
             .map(|j| (offsets[j], offsets[j + 1]))
             .collect();
-        let mut combine = TaskBuilder::new("dot_reduce_many").read_all(&partials);
+        let mut combine = TaskBuilder::new("dot_reduce").read_all(&partials);
         for &s in &srefs {
             combine = combine.write_all(&self.scalars[s]);
         }

@@ -21,9 +21,10 @@ pub enum SolverPhase {
     /// Operator application: the per-format `spmv_*` tile kernels and
     /// the fused/standalone zero-fill (`apply_zero`).
     SpMV,
-    /// Inner products: `dot_partial` / `dot_reduce`.
+    /// Inner products: `dot_partial` and the `dot_reduce` combine
+    /// (one per fused batch of pairs).
     Dot,
-    /// Vector updates: `axpy`, `xpay`, `scal`, `copy`.
+    /// Vector updates: `axpy`, `xpay`, `scal`, `copy`, `set_zero`.
     VectorUpdate,
     /// Scalar arithmetic tasks (`scalar_*`).
     Scalar,
@@ -39,7 +40,7 @@ impl SolverPhase {
             "apply_zero" => SolverPhase::SpMV,
             n if n.starts_with("spmv_") => SolverPhase::SpMV,
             "dot_partial" | "dot_reduce" => SolverPhase::Dot,
-            "axpy" | "xpay" | "scal" | "copy" => SolverPhase::VectorUpdate,
+            "axpy" | "xpay" | "scal" | "copy" | "set_zero" => SolverPhase::VectorUpdate,
             n if n.starts_with("scalar_") => SolverPhase::Scalar,
             _ => SolverPhase::Other,
         }
@@ -54,7 +55,7 @@ pub struct PhaseSplit {
     pub spmv_ns: u64,
     /// Inner-product time (partials + reductions).
     pub dot_ns: u64,
-    /// Vector-update time (axpy/xpay/scal/copy).
+    /// Vector-update time (axpy/xpay/scal/copy/set_zero).
     pub vector_update_ns: u64,
     /// Scalar-task time.
     pub scalar_ns: u64,
@@ -194,7 +195,7 @@ mod tests {
         }
         assert_eq!(SolverPhase::of_task("dot_partial"), SolverPhase::Dot);
         assert_eq!(SolverPhase::of_task("dot_reduce"), SolverPhase::Dot);
-        for n in ["axpy", "xpay", "scal", "copy"] {
+        for n in ["axpy", "xpay", "scal", "copy", "set_zero"] {
             assert_eq!(SolverPhase::of_task(n), SolverPhase::VectorUpdate, "{n}");
         }
         for n in ["scalar_set", "scalar_binop", "scalar_unop", "scalar_get"] {

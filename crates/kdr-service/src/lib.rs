@@ -96,7 +96,7 @@ pub use request::{
 pub use scheduler::FairScheduler;
 pub use service::{ServiceConfig, ShardLoad, SolveService, TenantBundle};
 pub use session::{Session, SessionSpec, SessionTuning, SolverKind};
-pub use sharded::{Placement, ShardConfig, ShardedService};
+pub use sharded::{ShardConfig, ShardedService};
 pub use supervision::{
     EvacuationPolicy, HealthBudget, HealthReport, InFlightRecovery, RetryPolicy, ShardStatus,
     SupervisorConfig, SupervisorStats,

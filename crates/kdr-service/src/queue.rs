@@ -216,8 +216,8 @@ impl AdmissionQueue {
     }
 
     /// The current EWMA of observed job service seconds (`0.0` until
-    /// the first completion). Shard placement and rebalancing read
-    /// this as the per-shard turnaround signal.
+    /// the first completion). The sharded rebalancer reads this as
+    /// the per-shard turnaround signal.
     pub fn ewma_job_seconds(&self) -> f64 {
         self.ewma_job_seconds
     }

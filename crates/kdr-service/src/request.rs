@@ -244,3 +244,30 @@ pub struct SolveResponse {
     /// the sharded supervisor.
     pub retries: u32,
 }
+
+impl SolveResponse {
+    /// The response for a job cancelled before it ever ran: no
+    /// iterations, no history, no time to first iteration.
+    pub(crate) fn cancelled_unstarted(
+        job: JobId,
+        tenant: TenantId,
+        session: SessionId,
+        queue_wait: Duration,
+        retries: u32,
+    ) -> SolveResponse {
+        SolveResponse {
+            job,
+            tenant,
+            session,
+            outcome: JobOutcome::Cancelled { iteration: 0 },
+            iterations: 0,
+            queue_wait,
+            time_to_first_iteration: None,
+            turnaround: Duration::ZERO,
+            warm: false,
+            residual_history: Vec::new(),
+            migrations: 0,
+            retries,
+        }
+    }
+}

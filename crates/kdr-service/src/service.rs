@@ -204,41 +204,43 @@ struct ActiveJob {
     last_residual: f64,
 }
 
-/// A job checkpointed mid-flight for migration: everything needed to
-/// resume it on another shard's runtime.
-struct JobSnapshot {
-    job: JobId,
-    session: SessionId,
-    request: Arc<SolveRequest>,
-    token: CancelToken,
-    rhs_idx: usize,
-    iterations: u64,
-    rhs_done: usize,
-    sol: Option<Vec<Vec<f64>>>,
-    migrations: u32,
-    trace: Option<SolveTrace>,
-    submitted_at: Instant,
-    started_at: Option<Instant>,
-    ttfi: Option<Duration>,
-    warm: bool,
-    last_residual: f64,
-}
-
 /// One tenant's complete detachable state: fair-share weight,
 /// sessions (as rebuildable specs), queued jobs, and checkpointed
 /// in-flight jobs. Produced by [`SolveService::detach_tenant`] on the
 /// source shard, consumed by [`SolveService::attach_tenant`] on the
-/// destination. Opaque: the bundle must be attached exactly once or
-/// its jobs are lost.
+/// destination; the sharded front door also builds one from its own
+/// records when a shard crashes. Opaque: the bundle must be attached
+/// exactly once or its jobs are lost.
 pub struct TenantBundle {
     tenant: TenantId,
     weight: u64,
     sessions: Vec<(SessionId, SessionSpec)>,
     queued: Vec<QueuedJob>,
-    in_flight: Vec<JobSnapshot>,
+    /// Detached jobs: driver and solver dropped, a mid-RHS job's
+    /// iterate checkpointed in `resume_sol`.
+    in_flight: Vec<ActiveJob>,
 }
 
 impl TenantBundle {
+    /// A bundle with nothing in flight, assembled from records kept
+    /// outside any shard: the crash-recovery source when the shard
+    /// that held the tenant died and nothing can be read from it.
+    /// `queued` must be in job-id order.
+    pub(crate) fn from_records(
+        tenant: TenantId,
+        weight: u64,
+        sessions: Vec<(SessionId, SessionSpec)>,
+        queued: Vec<QueuedJob>,
+    ) -> TenantBundle {
+        TenantBundle {
+            tenant,
+            weight,
+            sessions,
+            queued,
+            in_flight: Vec::new(),
+        }
+    }
+
     /// The tenant this bundle detached.
     pub fn tenant(&self) -> TenantId {
         self.tenant
@@ -272,12 +274,12 @@ impl TenantBundle {
     ///
     /// [`InFlightRecovery::Restart`]: crate::supervision::InFlightRecovery::Restart
     pub fn restart_in_flight(&mut self) {
-        for snap in self.in_flight.drain(..) {
+        for a in self.in_flight.drain(..) {
             self.queued.push(QueuedJob {
-                job: snap.job,
-                tenant: self.tenant,
-                request: snap.request,
-                submitted_at: snap.submitted_at,
+                job: a.job,
+                tenant: a.tenant,
+                request: a.request,
+                submitted_at: a.submitted_at,
                 predicted_seconds: None,
             });
         }
@@ -285,9 +287,8 @@ impl TenantBundle {
     }
 }
 
-/// A shard's instantaneous load signal, read by the sharded front
-/// door for load-aware placement and by the rebalancer for skew
-/// detection.
+/// A shard's instantaneous load signal, read by the sharded
+/// rebalancer for skew detection.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardLoad {
     /// Jobs admitted but not yet started.
@@ -575,20 +576,13 @@ impl SolveService {
     pub fn cancel_job(&self, job: JobId) -> CancelOutcome {
         let mut st = self.state.lock();
         if let Some(q) = st.queue.remove_job(job) {
-            st.responses.push(SolveResponse {
-                job: q.job,
-                tenant: q.tenant,
-                session: q.request.session,
-                outcome: JobOutcome::Cancelled { iteration: 0 },
-                iterations: 0,
-                queue_wait: q.submitted_at.elapsed(),
-                time_to_first_iteration: None,
-                turnaround: Duration::ZERO,
-                warm: false,
-                residual_history: Vec::new(),
-                migrations: 0,
-                retries: 0,
-            });
+            st.responses.push(SolveResponse::cancelled_unstarted(
+                q.job,
+                q.tenant,
+                q.request.session,
+                q.submitted_at.elapsed(),
+                0,
+            ));
             return CancelOutcome::Cancelled;
         }
         if let Some(a) = st.active.iter().find(|a| a.job == job) {
@@ -626,7 +620,7 @@ impl SolveService {
     /// Re-admit an already-admitted job, bypassing the capacity bound
     /// and deadline screen (it passed admission once). The sharded
     /// front door uses this to requeue a job after a failed attempt
-    /// (retry-with-backoff) or a shard crash; the shard's id
+    /// (retry-with-backoff); the shard's id
     /// watermark advances past the job so a later cancel of a
     /// genuinely unknown id still reports `UnknownJob` correctly.
     pub(crate) fn restore_job(&self, q: QueuedJob) {
@@ -706,41 +700,25 @@ impl SolveService {
             let mut a = st.active.remove(i);
             // Checkpoint a mid-RHS job at its current iterate. The
             // fence inside snapshot_sol drains the job's in-flight
-            // tasks first; a between-RHS job has nothing to snapshot
-            // (the next RHS starts from zero anyway).
-            let (sol, segment_iters) = match a.driver.as_ref() {
-                Some(d) => {
-                    let iters = d.iters();
-                    let sess = st
-                        .sessions
-                        .get_mut(&a.session)
-                        .expect("active job references a live session");
-                    (Some(sess.snapshot_sol()), iters)
-                }
-                None => (a.resume_sol.take(), 0),
-            };
+            // tasks first; a between-RHS job keeps whatever checkpoint
+            // it already carries (the next RHS starts from zero
+            // anyway).
+            if let Some(d) = a.driver.as_ref() {
+                a.rhs_done += d.iters();
+                let sess = st
+                    .sessions
+                    .get_mut(&a.session)
+                    .expect("active job references a live session");
+                a.resume_sol = Some(sess.snapshot_sol());
+            }
             // Drop the driver/solver *before* the session: their
             // deferred-scalar handles release arena slots into the
-            // still-live backend.
+            // still-live backend. The admission-time prediction was
+            // priced on this shard and does not travel.
             a.driver = None;
             a.solver = None;
-            in_flight.push(JobSnapshot {
-                job: a.job,
-                session: a.session,
-                request: a.request,
-                token: a.token,
-                rhs_idx: a.rhs_idx,
-                iterations: a.iterations,
-                rhs_done: a.rhs_done + segment_iters,
-                sol,
-                migrations: a.migrations,
-                trace: a.trace,
-                submitted_at: a.submitted_at,
-                started_at: a.started_at,
-                ttfi: a.ttfi,
-                warm: a.warm,
-                last_residual: a.last_residual,
-            });
+            a.predicted_seconds = None;
+            in_flight.push(a);
         }
         let session_ids: Vec<SessionId> = st
             .sessions
@@ -773,57 +751,21 @@ impl SolveService {
     /// iterate on first activation — restart semantics, identical to
     /// a local checkpoint/restart at the same iteration.
     pub fn attach_tenant(&self, bundle: TenantBundle) {
-        // Build sessions outside the state lock: construction touches
-        // only this shard's runtime handles.
-        let rebuilt: Vec<(SessionId, Session)> = bundle
-            .sessions
-            .into_iter()
-            .map(|(id, spec)| {
-                (
-                    id,
-                    Session::with_tuning(
-                        Arc::clone(&self.rt),
-                        Arc::clone(&self.mapper),
-                        bundle.tenant,
-                        spec,
-                        self.session_tuning(None),
-                    ),
-                )
-            })
-            .collect();
+        // Sessions land first, so no carried job becomes visible to a
+        // driver before the session it runs against.
+        for (id, spec) in bundle.sessions {
+            self.create_session_with_id(id, bundle.tenant, spec, None);
+        }
         let mut st = self.state.lock();
         st.base_weights.insert(bundle.tenant, bundle.weight);
         st.scheduler.register(bundle.tenant, bundle.weight);
-        for (id, sess) in rebuilt {
-            st.sessions.insert(id, sess);
-            st.next_session = st.next_session.max(id + 1);
-        }
-        for snap in bundle.in_flight {
-            st.active.push(ActiveJob {
-                job: snap.job,
-                tenant: bundle.tenant,
-                session: snap.session,
-                request: snap.request,
-                token: snap.token,
-                predicted_seconds: None,
-                rhs_idx: snap.rhs_idx,
-                driver: None,
-                solver: None,
-                ws_mark: 0,
-                preflighted: false,
-                iterations: snap.iterations,
-                rhs_done: snap.rhs_done,
-                resume_sol: snap.sol,
-                migrations: snap.migrations + 1,
-                trace: snap.trace,
-                submitted_at: snap.submitted_at,
-                started_at: snap.started_at,
-                ttfi: snap.ttfi,
-                warm: snap.warm,
-                last_residual: snap.last_residual,
-            });
+        for mut a in bundle.in_flight {
+            st.next_job = st.next_job.max(a.job + 1);
+            a.migrations += 1;
+            st.active.push(a);
         }
         for q in bundle.queued {
+            st.next_job = st.next_job.max(q.job + 1);
             st.queue.restore(q);
         }
         self.refresh_cost_weights(&mut st);

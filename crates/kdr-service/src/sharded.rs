@@ -7,12 +7,11 @@
 //! sessions, and fair scheduler — and one shared **admission front
 //! door** that owns tenant placement and global id allocation.
 //!
-//! Placement is **consistent-hash** by default (a splitmix64 ring
-//! with virtual nodes: adding a shard moves `~1/N` of tenants,
-//! everyone else stays put) with an optional **load-aware** override
-//! that places new tenants on the shard with the lowest load score
-//! (queue depth + active jobs, weighted by the shard's turnaround
-//! EWMA). A **rebalancer** — invoked between scheduling rounds of
+//! Placement is **consistent-hash** (a splitmix64 ring with virtual
+//! nodes: adding a shard moves `~1/N` of tenants, everyone else stays
+//! put), so a new tenant's shard depends only on its id and the
+//! fleet's shard history. A **rebalancer** — invoked between
+//! scheduling rounds of
 //! [`ShardedService::run_rounds`], never concurrently with a shard's
 //! slice — migrates one tenant from the most- to the least-loaded
 //! shard when the skew exceeds a configurable factor.
@@ -41,9 +40,11 @@
 //! deterministic round-based backoff ([`RetryPolicy`]), delivering
 //! typed [`JobOutcome::RetryExhausted`] when the budget runs out —
 //! never silent loss. [`ShardedService::kill_shard`] simulates a
-//! crash (the runtime is dropped, nothing is read from it); resident
-//! tenants are rebuilt from front-door state and their outstanding
-//! jobs resubmitted from the ledger.
+//! crash (the runtime is dropped, nothing is read from it); each
+//! resident tenant's bundle is rebuilt from front-door records (its
+//! sessions' specs and its outstanding ledger jobs, rerun from
+//! scratch) and lands through the same [`SolveService::attach_tenant`]
+//! as a migration.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -62,7 +63,7 @@ use crate::request::{
     CancelOutcome, JobId, JobOutcome, RejectReason, SessionId, SolveRequest, SolveResponse,
     TenantId,
 };
-use crate::service::{ServiceConfig, ShardLoad, SolveService};
+use crate::service::{ServiceConfig, ShardLoad, SolveService, TenantBundle};
 use crate::session::SessionSpec;
 use crate::supervision::{
     EvacuationPolicy, HealthBudget, HealthReport, HealthWindow, InFlightRecovery, RetryPolicy,
@@ -80,29 +81,12 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// How the front door places a newly seen tenant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Placement {
-    /// Hash the tenant onto a consistent-hash ring of shard virtual
-    /// nodes. Deterministic: placement depends only on the ring seed,
-    /// the tenant id, and the shard count.
-    ConsistentHash,
-    /// Place on the shard with the lowest current load score
-    /// ([`ShardLoad::score`]), falling back to the hash ring among
-    /// equally loaded shards. Placement then depends on arrival order
-    /// and observed timing — use [`Placement::ConsistentHash`] when
-    /// cross-run placement determinism matters.
-    LoadAware,
-}
-
 /// Sharded-service construction knobs.
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
     /// Number of independent shard runtimes (`>= 1`) at startup;
     /// [`ShardedService::add_shard`] grows the fleet live.
     pub shards: usize,
-    /// New-tenant placement policy.
-    pub placement: Placement,
     /// Rebalance when the busiest shard's load score exceeds the
     /// least busy shard's by more than this factor (and by at least
     /// two outstanding jobs). `0.0` disables the rebalancer —
@@ -123,7 +107,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 2,
-            placement: Placement::ConsistentHash,
             rebalance_factor: 0.0,
             supervisor: SupervisorConfig::default(),
             base: ServiceConfig::default(),
@@ -227,9 +210,43 @@ impl FrontDoor {
             .collect()
     }
 
-    /// Whether `job` is parked in the front-door retry queue.
-    fn retry_pending(&self, job: JobId) -> bool {
-        self.retry_queue.iter().any(|&(_, j)| j == job)
+    /// A crashed tenant's bundle, from front-door records alone: its
+    /// weight, its sessions' specs, and its outstanding ledger jobs as
+    /// from-scratch queued jobs in job-id order. Jobs parked in the
+    /// retry queue stay there: their backoff release routes them to
+    /// the tenant's new shard.
+    fn bundle_from_records(&mut self, tenant: TenantId) -> TenantBundle {
+        let sessions = self
+            .session_owner
+            .iter()
+            .filter(|&(_, &owner)| owner == tenant)
+            .map(|(&sid, _)| (sid, self.session_specs[&sid].clone()))
+            .collect();
+        let mut queued = Vec::new();
+        for (&job, entry) in self.ledger.iter_mut() {
+            if entry.terminal
+                || entry.tenant != tenant
+                || self.retry_queue.iter().any(|&(_, j)| j == job)
+            {
+                continue;
+            }
+            entry.resubmits += 1;
+            queued.push(QueuedJob {
+                job,
+                tenant,
+                request: Arc::clone(
+                    entry
+                        .request
+                        .as_ref()
+                        .expect("non-terminal entries keep the request"),
+                ),
+                submitted_at: Instant::now(),
+                predicted_seconds: None,
+            });
+        }
+        self.stats.jobs_resubmitted += queued.len() as u64;
+        let weight = self.weights.get(&tenant).copied().unwrap_or(1);
+        TenantBundle::from_records(tenant, weight, sessions, queued)
     }
 
     /// Delivered-retry count for a ledger entry: extra executions the
@@ -377,14 +394,18 @@ impl ShardedService {
     }
 
     /// Register (or re-weight) a tenant. First registration places
-    /// the tenant per the configured [`Placement`] policy;
-    /// re-registration only updates the weight, in place.
+    /// the tenant on its consistent-hash ring shard (first healthy
+    /// virtual node at or after the tenant's hash point; panics if no
+    /// healthy shard remains); re-registration only updates the
+    /// weight, in place.
     pub fn register_tenant(&self, tenant: TenantId, weight: u64) {
         let mut front = self.front.lock();
         let shard = match front.placements.get(&tenant) {
             Some(&s) => s,
             None => {
-                let s = self.place(&front, tenant);
+                let s = front
+                    .ring_place_healthy(tenant)
+                    .expect("no healthy shard left to place a tenant on");
                 front.placements.insert(tenant, s);
                 s
             }
@@ -393,45 +414,6 @@ impl ShardedService {
         if let Some(svc) = front.slots[shard].live() {
             if front.slots[shard].status.is_healthy() {
                 svc.register_tenant(tenant, weight);
-            }
-        }
-    }
-
-    /// Pick a shard for a new tenant under the configured policy.
-    /// Only healthy shards are candidates; panics if none remain (a
-    /// fleet with zero healthy shards cannot accept tenants).
-    fn place(&self, front: &FrontDoor, tenant: TenantId) -> usize {
-        let hash_choice = front
-            .ring_place_healthy(tenant)
-            .expect("no healthy shard left to place a tenant on");
-        match self.cfg.placement {
-            Placement::ConsistentHash => hash_choice,
-            Placement::LoadAware => {
-                let scored: Vec<(usize, f64)> = front
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.status.is_healthy())
-                    .filter_map(|(i, s)| s.live().map(|svc| (i, svc.load().score())))
-                    .collect();
-                let min = scored.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-                // Among the least-loaded shards, prefer the hash
-                // ring's choice so an idle fleet degenerates to pure
-                // consistent hashing.
-                let hash_score = scored
-                    .iter()
-                    .find(|&&(i, _)| i == hash_choice)
-                    .map(|&(_, s)| s)
-                    .unwrap_or(f64::INFINITY);
-                if hash_score <= min {
-                    hash_choice
-                } else {
-                    scored
-                        .iter()
-                        .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                        .map(|&(i, _)| i)
-                        .expect("at least one healthy shard")
-                }
             }
         }
     }
@@ -571,22 +553,14 @@ impl ShardedService {
             .take()
             .expect("non-terminal entries keep the request");
         entry.terminal = true;
-        let retries = FrontDoor::retries_of(entry, false);
-        let tenant = entry.tenant;
-        front.done.push(SolveResponse {
+        let response = SolveResponse::cancelled_unstarted(
             job,
-            tenant,
-            session: request.session,
-            outcome: JobOutcome::Cancelled { iteration: 0 },
-            iterations: 0,
-            queue_wait: Duration::ZERO,
-            time_to_first_iteration: None,
-            turnaround: Duration::ZERO,
-            warm: false,
-            residual_history: Vec::new(),
-            migrations: 0,
-            retries,
-        });
+            entry.tenant,
+            request.session,
+            Duration::ZERO,
+            FrontDoor::retries_of(entry, false),
+        );
+        front.done.push(response);
     }
 
     /// Migrate a tenant — scheduler entry, sessions, queued jobs, and
@@ -752,24 +726,16 @@ impl ShardedService {
             return false;
         }
         // Take the slot off the ring first so successors are computed
-        // without it.
+        // without it. With any healthy shard left, every resident has
+        // a ring successor.
         front.slots[idx].status = ShardStatus::Quarantined;
-        let residents = front.residents(idx);
-        if !residents.is_empty()
+        if !front.residents(idx).is_empty()
             && !front.slots.iter().any(|s| s.status.is_healthy())
         {
             front.slots[idx].status = prev_status;
             return false;
         }
-        for t in residents {
-            let Some(dst) = front.ring_place_healthy(t) else {
-                front.slots[idx].status = prev_status;
-                return false;
-            };
-            if self.migrate_tenant_locked(&mut front, t, dst, InFlightRecovery::Resume) {
-                front.stats.tenants_evacuated += 1;
-            }
-        }
+        self.evacuate_residents(&mut front, idx, InFlightRecovery::Resume);
         front.slots[idx].svc = None;
         front.slots[idx].status = ShardStatus::Removed;
         front.ring.retain(|&(_, s)| s != idx);
@@ -779,14 +745,16 @@ impl ShardedService {
 
     /// Simulate a shard crash: drop the runtime **without reading
     /// anything from it** — no checkpoints, no response drain — then
-    /// recover from front-door state alone. Resident tenants are
-    /// re-registered on their ring successors with their sessions
-    /// rebuilt from the stashed specs, and every outstanding ledger
-    /// job of theirs is resubmitted **from scratch** (full budget, so
+    /// recover from front-door state alone. Each resident tenant's
+    /// [`TenantBundle`] is rebuilt from front-door records — its
+    /// weight, its sessions' stashed specs, and its outstanding
+    /// ledger jobs, requeued **from scratch** (full budget, so
     /// the delivered residual history is bit-identical to a fault-free
-    /// run). Undelivered responses on the dead shard are lost with
-    /// it; resubmission makes delivery exactly-once regardless.
-    /// Returns `false` for out-of-range or already-retired slots.
+    /// run) — and attached to its ring successor exactly as a
+    /// migration would attach it. Undelivered responses on the dead
+    /// shard are lost with it; resubmission makes delivery
+    /// exactly-once regardless. Returns `false` for out-of-range or
+    /// already-retired slots.
     ///
     /// If no healthy shard remains, affected tenants are stranded:
     /// their placements keep pointing at the dead slot (submits get
@@ -807,68 +775,18 @@ impl ShardedService {
         // Dropping the runtime joins its workers (in-flight task
         // bodies finish or panic; nothing is read back).
         drop(svc);
-
-        let residents = front.residents(idx);
-        let mut rescued: Vec<TenantId> = Vec::new();
-        for t in residents {
+        for t in front.residents(idx) {
             let Some(dst) = front.ring_place_healthy(t) else {
                 continue;
             };
-            let weight = front.weights.get(&t).copied().unwrap_or(1);
-            let dst_svc = front.slots[dst]
+            let bundle = front.bundle_from_records(t);
+            front.slots[dst]
                 .live()
-                .cloned()
-                .expect("healthy slots have a runtime");
-            dst_svc.register_tenant(t, weight);
-            let sessions: Vec<SessionId> = front
-                .session_owner
-                .iter()
-                .filter(|&(_, &owner)| owner == t)
-                .map(|(&sid, _)| sid)
-                .collect();
-            for sid in sessions {
-                let spec = front.session_specs[&sid].clone();
-                dst_svc.create_session_with_id(sid, t, spec, None);
-            }
+                .expect("healthy slots have a runtime")
+                .attach_tenant(bundle);
             front.placements.insert(t, dst);
             front.migrations += 1;
             front.stats.tenants_evacuated += 1;
-            rescued.push(t);
-        }
-        // Resubmit every outstanding job of the rescued tenants in
-        // admission order. Jobs parked in the retry queue are *not*
-        // resubmitted here — their backoff release will route them to
-        // the tenant's new shard.
-        let outstanding: Vec<JobId> = front
-            .ledger
-            .iter()
-            .filter(|(job, e)| {
-                !e.terminal && rescued.contains(&e.tenant) && !front.retry_pending(**job)
-            })
-            .map(|(&job, _)| job)
-            .collect();
-        for job in outstanding {
-            let entry = front.ledger.get_mut(&job).expect("collected above");
-            entry.resubmits += 1;
-            let tenant = entry.tenant;
-            let request = Arc::clone(
-                entry
-                    .request
-                    .as_ref()
-                    .expect("non-terminal entries keep the request"),
-            );
-            let dst = front.placements[&tenant];
-            front.slots[dst]
-                .live()
-                .expect("rescued tenants land on healthy shards")
-                .restore_job(QueuedJob {
-                    job,
-                    tenant,
-                    request,
-                    submitted_at: Instant::now(),
-                    predicted_seconds: None,
-                });
-            front.stats.jobs_resubmitted += 1;
         }
         true
     }
@@ -894,21 +812,21 @@ impl ShardedService {
         {
             self.add_shard_slot(front);
         }
-        self.evacuate_residents(front, idx);
+        self.evacuate_residents(front, idx, self.cfg.supervisor.in_flight);
     }
 
     /// Move every tenant still placed on a quarantined slot to its
-    /// healthy ring successor. Tenants with no healthy destination
-    /// stay put (submits get [`RejectReason::ShardDegraded`]) and are
-    /// retried on every later supervision tick, so they recover as
-    /// soon as capacity returns (e.g. after an
-    /// [`ShardedService::add_shard`]).
-    fn evacuate_residents(&self, front: &mut FrontDoor, idx: usize) {
+    /// healthy ring successor, recovering in-flight jobs per
+    /// `recovery`. Tenants with no healthy destination stay put
+    /// (submits get [`RejectReason::ShardDegraded`]) and are retried
+    /// on every later supervision tick, so they recover as soon as
+    /// capacity returns (e.g. after an [`ShardedService::add_shard`]).
+    fn evacuate_residents(&self, front: &mut FrontDoor, idx: usize, recovery: InFlightRecovery) {
         for t in front.residents(idx) {
             let Some(dst) = front.ring_place_healthy(t) else {
                 continue;
             };
-            if self.migrate_tenant_locked(front, t, dst, self.cfg.supervisor.in_flight) {
+            if self.migrate_tenant_locked(front, t, dst, recovery) {
                 front.stats.tenants_evacuated += 1;
             }
         }
@@ -936,7 +854,7 @@ impl ShardedService {
             if front.slots[idx].status == ShardStatus::Quarantined
                 && front.slots[idx].svc.is_some()
             {
-                self.evacuate_residents(&mut front, idx);
+                self.evacuate_residents(&mut front, idx, self.cfg.supervisor.in_flight);
             }
         }
         self.release_due_retries(&mut front);
@@ -1098,37 +1016,21 @@ impl ShardedService {
         !self.front.lock().retry_queue.is_empty()
     }
 
-    /// Drive every shard to completion: each round spawns one driver
-    /// thread per shard that has work, joins them, runs a rebalance
-    /// pass and a supervision tick, and repeats until the whole fleet
-    /// is idle *and* no retry is pending. With the rebalancer and
-    /// supervisor passive a single round suffices; with them active,
-    /// later rounds drain migrated, evacuated, and retried work.
+    /// Drive every shard to completion: [`ShardedService::run_rounds`]
+    /// one round at a time, each round running every busy shard until
+    /// it idles, until a round finds the whole fleet idle *and* no
+    /// retry pending. With the rebalancer and supervisor passive a
+    /// single round suffices; with them active, later rounds drain
+    /// migrated, evacuated, and retried work.
     pub fn run_until_idle(&self) {
-        loop {
-            let busy = self.busy_shards();
-            if busy.is_empty() && !self.pending_retries() {
-                return;
-            }
-            std::thread::scope(|scope| {
-                for svc in &busy {
-                    let svc = Arc::clone(svc);
-                    scope.spawn(move || {
-                        svc.run_until_idle();
-                    });
-                }
-            });
-            self.rebalance();
-            self.supervise();
-        }
+        while self.run_rounds(1, usize::MAX) > 0 {}
     }
 
     /// Drive at most `rounds` rounds of `slices_per_shard` scheduler
     /// slices on every shard with work (in parallel), with a
     /// rebalance pass and a supervision tick between rounds. Stops
     /// early when the fleet goes idle with no retries pending;
-    /// returns the rounds actually run. This is the incremental
-    /// flavor of [`ShardedService::run_until_idle`], giving the
+    /// returns the rounds actually run. Bounded rounds give the
     /// rebalancer and the health model a deterministic cadence.
     pub fn run_rounds(&self, rounds: usize, slices_per_shard: usize) -> usize {
         for k in 0..rounds {
@@ -1279,9 +1181,8 @@ impl ShardedService {
     /// The catalogue re-seeds into `cfg.base.catalogue` (merged if the
     /// caller supplies one, fresh otherwise) and is shared by every
     /// shard; tenants re-register at their saved base weights and are
-    /// re-placed by the configured [`Placement`] policy (consistent
-    /// hashing puts them back on the same shard when the shard count
-    /// is unchanged); sessions rebuild on their owner's shard with
+    /// re-placed on the consistent-hash ring (which puts them back on
+    /// the same shard when the shard count is unchanged); sessions rebuild on their owner's shard with
     /// persisted kernel choices pinned, and sessions that were warm at
     /// save time are pre-warmed. Corrupted, truncated, or semantically
     /// invalid stores fail with a typed [`StoreError`], never a panic.

@@ -295,6 +295,79 @@ fn kill_shard_recovery_is_bit_identical_to_fault_free() {
 }
 
 #[test]
+fn kill_after_migration_reruns_the_checkpointed_job_from_scratch() {
+    // Tenant A migrates mid-job onto shard X, so its job sits on X as
+    // a checkpoint that has not been re-activated yet; tenant B lives
+    // on X with two queued jobs. X then crashes. Both tenants land on
+    // their ring successors from front-door records, and every job
+    // reruns from scratch: delivery is exactly-once, each tenant's
+    // jobs finish in submission order, and the delivered results are
+    // bitwise those of a run with neither migration nor crash.
+    let n = 16 * 16;
+    let run = |chaos: bool| {
+        let svc = fleet(3, SupervisorConfig::default());
+        for t in 0..8u32 {
+            svc.register_tenant(t, 1);
+        }
+        let a = 0u32;
+        let x = (1..8u32)
+            .map(|t| svc.shard_of(t).unwrap())
+            .find(|&s| s != svc.shard_of(a).unwrap())
+            .expect("some tenant lives off tenant A's shard");
+        let b = (1..8u32).find(|&t| svc.shard_of(t) == Some(x)).unwrap();
+        let sa = svc.create_session(a, spec(16, 16, 2, SolverKind::Cg)).unwrap();
+        let sb = svc.create_session(b, spec(16, 16, 2, SolverKind::Cg)).unwrap();
+        let mut jobs = Vec::new();
+        for j in 0..2u64 {
+            jobs.push(svc.submit(a, history_req(sa, n, 40 + j)).unwrap());
+            jobs.push(svc.submit(b, history_req(sb, n, 50 + j)).unwrap());
+        }
+        if chaos {
+            let src = svc.shard_of(a).unwrap();
+            svc.shard(src).run_slices(1); // A's first job mid-flight
+            assert!(svc.migrate_tenant(a, x));
+            let load = svc.loads()[x];
+            assert_eq!(load.active, 1, "A's job waits on X as a checkpoint");
+            assert_eq!(load.queued, 3, "A's second job and B's two jobs");
+            assert!(svc.kill_shard(x));
+            assert_ne!(svc.shard_of(a), Some(x));
+            assert_ne!(svc.shard_of(b), Some(x));
+        }
+        svc.run_until_idle();
+        let rs = svc.take_responses();
+        let mut delivered: Vec<u64> = rs.iter().map(|r| r.job).collect();
+        delivered.sort_unstable();
+        let mut admitted = jobs.clone();
+        admitted.sort_unstable();
+        assert_eq!(delivered, admitted, "every job delivered exactly once");
+        for t in [a, b] {
+            let order: Vec<u64> = rs.iter().filter(|r| r.tenant == t).map(|r| r.job).collect();
+            assert!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                "tenant {t} completed out of submission order: {order:?}"
+            );
+        }
+        let mut fp: Vec<Fingerprint> = rs
+            .iter()
+            .map(|r| {
+                assert!(r.outcome.is_converged(), "{:?}", r.outcome);
+                (r.job, r.tenant, r.iterations, bits(&r.residual_history))
+            })
+            .collect();
+        fp.sort();
+        (fp, svc.supervisor_stats())
+    };
+    let (crashed, stats) = run(true);
+    let (clean, _) = run(false);
+    assert_eq!(stats.kills, 1);
+    assert_eq!(stats.jobs_resubmitted, 4, "all four jobs rerun from the ledger");
+    assert_eq!(
+        crashed, clean,
+        "a killed migration target must replay the fault-free results bit for bit"
+    );
+}
+
+#[test]
 fn evacuation_preserves_deadlines_and_iteration_budgets() {
     // Queued deadline-bearing jobs and a capped-budget job survive a
     // quarantine evacuation intact: the deadline still applies (and

@@ -8,6 +8,11 @@ cargo test -q
 cargo test --doc -q
 cargo clippy --all-targets -- -D warnings
 
+# The benchmark package (`perfbench/`) sits outside the workspace, so
+# the legs above never compile it. Lint it here so an API change that
+# breaks the benchmark fails CI instead of the next benchmark run.
+cargo clippy --offline --release --manifest-path perfbench/Cargo.toml -- -D warnings
+
 # Documentation gate: every public item documented (missing_docs is
 # warn at the crate level, promoted to an error here) and no broken
 # intra-doc links anywhere in the workspace.

@@ -5,7 +5,10 @@
 
 use std::sync::Arc;
 
-use kdr_core::{solve_traced, CgSolver, ExecBackend, PhaseSplit, Planner, SolveControl, Solver};
+use kdr_core::{
+    solve_traced, BiCgStabSolver, CgSolver, ExecBackend, PhaseSplit, PipelinedCgSolver, Planner,
+    SolveControl, Solver,
+};
 use kdr_index::{IntervalSet, Partition};
 use kdr_runtime::{
     chrome_trace_json, critical_path, Buffer, Provenance, Runtime, TaskBuilder, TaskSpan,
@@ -402,6 +405,36 @@ fn cg_trace_json_is_valid_and_complete() {
     let split = PhaseSplit::from_spans(&spans);
     assert!(split.spmv_ns > 0);
     assert!(split.dot_ns > 0);
+}
+
+/// Every task a solver emits is filed under a solver phase: fused
+/// reductions (BiCGStab batches its dots, pipelined CG fuses every
+/// inner product of an iteration) and `Planner::zero` fills must not
+/// leak into `Other`, which is reserved for application tasks.
+#[test]
+fn solver_work_never_lands_in_other() {
+    type Build = fn(&mut Planner<f64>) -> Box<dyn Solver<f64>>;
+    let solvers: [(&str, Build); 2] = [
+        ("bicgstab", |p| Box::new(BiCgStabSolver::new(p))),
+        ("pipelined_cg", |p| Box::new(PipelinedCgSolver::new(p))),
+    ];
+    for (name, build) in solvers {
+        let mut planner = exec_planner(Stencil::lap2d(16, 16), 4, true);
+        let mut solver = build(&mut planner);
+        let (report, _trace) = solve_traced(&mut planner, solver.as_mut(), SolveControl::fixed(6));
+        assert_eq!(report.unwrap().iters, 6, "{name}");
+        drop(solver);
+        let spans = with_exec(&mut planner, |b| b.take_spans());
+        let unclassified: Vec<&str> = spans
+            .iter()
+            .map(|s| s.name)
+            .filter(|n| kdr_core::SolverPhase::of_task(n) == kdr_core::SolverPhase::Other)
+            .collect();
+        assert!(unclassified.is_empty(), "{name} filed solver tasks under Other: {unclassified:?}");
+        let split = PhaseSplit::from_spans(&spans);
+        assert!(split.dot_ns > 0, "{name}");
+        assert_eq!(split.other_ns, 0, "{name}");
+    }
 }
 
 // ----- metrics consistency with traced stepping ---------------------
